@@ -8,6 +8,7 @@ gives the coarsest deterministic-first-stage factorization of the channel.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -56,8 +57,8 @@ class Channel:
     """Conditional distribution P(Y|X) over finite alphabets.
 
     ``matrix[i, j]`` is the probability of output ``outputs[j]`` given input
-    ``inputs[i]``. Rows must sum to 1 within 1e-9 and entries must lie in
-    [0, 1] up to round-off.
+    ``inputs[i]``. Entries must be finite and lie in [0, 1] up to round-off,
+    and rows must sum to 1 within 1e-9.
     """
 
     inputs: tuple
@@ -81,6 +82,8 @@ class Channel:
             raise InvalidChannel("duplicate input labels")
         if len(set(self.outputs)) != len(self.outputs):
             raise InvalidChannel("duplicate output labels")
+        if not np.isfinite(m).all():
+            raise InvalidChannel("entries must be finite")
         if m.min() < -1e-12 or m.max() > 1 + 1e-12:
             raise InvalidChannel("entries must lie in [0, 1]")
         rowsum_err = np.abs(m.sum(axis=1) - 1.0).max()
@@ -191,6 +194,8 @@ class InputDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probabilities must form a nonempty vector")
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if p.min() < -1e-12:
             raise ValueError(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > 1e-9:
@@ -222,23 +227,37 @@ class Factorization:
 def causal_partition(c: Channel, tol: float = ROW_TOL) -> Partition:
     """Group inputs whose conditional output rows agree within ``tol``.
 
-    Inputs are scanned in order and matched against the representative of
-    each existing class (first match wins), which keeps the result
-    deterministic even though tolerance-equality is not transitive.
+    The rule is first match wins: scanning inputs in order, an input joins
+    the earliest class whose representative (lowest member) lies within
+    ``tol`` in max-norm, and founds a new class when none does. This keeps
+    the result deterministic even though tolerance-equality is not
+    transitive.
+
+    The rule is evaluated as a sweep over representatives. The first input
+    not yet in a class founds the next one, and one max-norm over the inputs
+    still unassigned moves every row within ``tol`` of it into that class.
+    An unassigned input has no earlier representative within ``tol``, so
+    joining the first one that is within ``tol`` is exactly its first-match
+    choice, and the first input left unassigned is exactly the next one the
+    scan would make a representative. For N inputs, Y outputs and K classes
+    the sweep takes K array steps over at most N x Y entries each, and holds
+    O(N x Y) memory at a time.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    reps: list[int] = []
-    classes: list[list[int]] = []
-    for x in range(c.n_inputs):
-        for k, r in enumerate(reps):
-            if np.abs(c.matrix[x] - c.matrix[r]).max() <= tol:
-                classes[k].append(x)
-                break
-        else:
-            reps.append(x)
-            classes.append([x])
-    return Partition(tuple(tuple(cl) for cl in classes), c.n_inputs)
+    m = c.matrix
+    class_of = np.empty(c.n_inputs, dtype=np.intp)
+    pending = np.arange(c.n_inputs)
+    k = 0
+    while pending.size:
+        near = np.abs(m[pending] - m[pending[0]]).max(axis=1) <= tol
+        class_of[pending[near]] = k
+        pending = pending[~near]
+        k += 1
+    members = np.argsort(class_of, kind="stable")
+    bounds = np.cumsum(np.bincount(class_of, minlength=k))[:-1]
+    classes = tuple(tuple(cl.tolist()) for cl in np.split(members, bounds))
+    return Partition(classes, c.n_inputs)
 
 
 def factorization_from_partition(c: Channel, p: Partition) -> Factorization:
@@ -322,10 +341,19 @@ def verify_factorization(c: Channel, f: Factorization, tol: float = ROW_TOL) -> 
         raise AlphabetMismatch("reduced channel output alphabet differs")
     if f.reduced.n_inputs != p.n_classes:
         raise AlphabetMismatch("reduced channel must have one row per class")
-    violations = []
-    for k, cl in enumerate(p.classes):
-        for x in cl:
-            delta = c.matrix[x] - f.reduced.matrix[k]
-            for j in np.flatnonzero(np.abs(delta) > tol):
-                violations.append((c.inputs[x], c.outputs[j], float(abs(delta[j]))))
-    return FactorizationCheck(not violations, tol, tuple(violations))
+    violations = _class_row_violations(c, p, f.reduced.matrix, tol)
+    return FactorizationCheck(not violations, tol, violations)
+
+
+def _class_row_violations(c: Channel, p: Partition, class_rows: np.ndarray, tol: float) -> tuple:
+    """(input label, output label, |delta|) for every entry where an input's
+    channel row differs from ``class_rows[k]`` of its class k by more than
+    ``tol``, in the order class, member, output."""
+    members = np.fromiter(itertools.chain.from_iterable(p.classes), np.intp, p.size)
+    owner = np.repeat(np.arange(p.n_classes), [len(cl) for cl in p.classes])
+    gap = np.abs(c.matrix[members] - class_rows[owner])
+    rows, cols = np.nonzero(gap > tol)
+    return tuple(
+        (c.inputs[x], c.outputs[j], d)
+        for x, j, d in zip(members[rows].tolist(), cols.tolist(), gap[rows, cols].tolist())
+    )

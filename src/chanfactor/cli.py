@@ -84,7 +84,7 @@ def _write(args, text: str) -> None:
 
 
 def _emit_json(args, doc: dict) -> None:
-    _write(args, json.dumps(doc, indent=2) + "\n")
+    _write(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _config_echo(args, **extra) -> dict:
@@ -114,7 +114,7 @@ def cmd_qfactorize(args) -> int:
     c = _load_channel(args.channel)
     q = g0_construct(c, args.tol)
     check = verify_qfactorization(c, q, args.tol)
-    bound = fidelity_bound_check(c, q)
+    bound = fidelity_bound_check(c, q, args.tol)
     d = _load_dist(args.dist, c.n_inputs)
     weights = pushforward(d, q.partition)
     rho = average_state(Ensemble(weights.probs, q.signals))

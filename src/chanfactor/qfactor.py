@@ -24,8 +24,8 @@ from .channel import (
     Channel,
     InputDistribution,
     Partition,
+    _class_row_violations,
     causal_partition,
-    classical_fidelity,
     pushforward,
 )
 from .linalg import EIG_CLAMP, psd_sqrt
@@ -341,17 +341,15 @@ def verify_qfactorization(c: Channel, q: QFactorization, tol: float = 1e-9) -> Q
     if q.povm.labels != c.outputs:
         raise AlphabetMismatch("POVM labels differ from channel outputs")
     povm_check = q.povm.validate(tol)
-    violations = []
-    for k, cl in enumerate(q.partition.classes):
-        probs = np.array(
-            [np.trace(e @ q.signals[k].matrix).real for e in q.povm.elements]
-        )
-        for x in cl:
-            delta = probs - c.matrix[x]
-            for j in np.flatnonzero(np.abs(delta) > tol):
-                violations.append((c.inputs[x], c.outputs[j], float(abs(delta[j]))))
+    # probs[k, y] = tr(E_y rho_k), the outcome distribution of class k.
+    probs = np.einsum(
+        "yij,kji->ky",
+        np.stack(q.povm.elements),
+        np.stack([s.matrix for s in q.signals]),
+    ).real
+    violations = _class_row_violations(c, q.partition, probs, tol)
     ok = bool(povm_check) and not violations
-    return QFactorizationCheck(ok, tol, povm_check, tuple(violations))
+    return QFactorizationCheck(ok, tol, povm_check, violations)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -498,14 +496,20 @@ class FidelityBoundReport:
 
 def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = 1e-9) -> FidelityBoundReport:
     """Compare F_Q(signal_i, signal_j) against the Bhattacharyya coefficient
-    of the corresponding channel rows for every class pair."""
+    of the corresponding channel rows for every class pair i < j.
+
+    The Bhattacharyya coefficients of class i against all later classes
+    come from one array step, with the same arithmetic as
+    ``classical_fidelity``. Pairs are listed in row-major order of (i, j).
+    """
     reps = q.partition.representatives
+    rows = np.clip(c.matrix[list(reps)], 0, None)
     pairs = []
     ok = True
     for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
+        f_classical = np.sqrt(rows[i] * rows[i + 1 :]).sum(axis=1).tolist()
+        for j, fc in enumerate(f_classical, start=i + 1):
             fq = quantum_fidelity(q.signals[i], q.signals[j])
-            fc = classical_fidelity(c.matrix[reps[i]], c.matrix[reps[j]])
             slack = fc - fq
             if slack < -tol:
                 ok = False

@@ -108,6 +108,63 @@ def brute_force_row_classes(matrix, tol=1e-9):
     return [tuple(cl) for cl in classes]
 
 
+def jittered_channel(rng, n_inputs, n_classes, n_outputs, jitter):
+    """Channel over well-separated class rows whose members carry zero-sum
+    jitter: up to ``jitter`` per entry, exactly ``jitter`` on a third of the
+    members, none on another third. With ``jitter`` near the tolerance,
+    members straddle the tolerance boundary of their class row."""
+    rows = 0.5 * rng.dirichlet(np.ones(n_outputs), size=n_classes) + 0.5 / n_outputs
+    matrix = rows[rng.integers(0, n_classes, size=n_inputs)]
+    half = n_outputs // 2
+    for x in range(n_inputs):
+        kind = rng.integers(3)
+        if kind == 0 or half == 0:
+            continue
+        v = rng.choice([-jitter, jitter], size=half)
+        if kind == 1:
+            v *= rng.random(half)
+        slots = rng.permutation(n_outputs)
+        matrix[x, slots[:half]] += v
+        matrix[x, slots[half:2 * half]] -= v
+    return Channel(
+        tuple(f"x{i}" for i in range(n_inputs)),
+        tuple(f"y{j}" for j in range(n_outputs)),
+        matrix,
+    )
+
+
+def near_tie_chain(rng, n_inputs, n_outputs, step, direction=None):
+    """Shuffled rows base + t * step * direction for t = 0, 1, ...: each row
+    is within ``step`` of its neighbours in max-norm, so with step below tol
+    and 2 * step above it, which rows group depends on the input order.
+    ``direction`` defaults to a zero-sum vector with max-norm 1."""
+    base = 0.5 * rng.dirichlet(np.ones(n_outputs)) + 0.5 / n_outputs
+    if direction is None:
+        direction = np.zeros(n_outputs)
+        j, k = rng.choice(n_outputs, size=2, replace=False)
+        direction[j], direction[k] = 1.0, -1.0
+    t = rng.permutation(n_inputs)
+    matrix = base + np.outer(t * step, direction)
+    return Channel(
+        tuple(f"x{i}" for i in range(n_inputs)),
+        tuple(f"y{j}" for j in range(n_outputs)),
+        matrix,
+    )
+
+
+def brute_force_violations(c, partition, class_rows, tol):
+    """Independent oracle: per-entry comparison of each input's channel row
+    with its class row, in class, member, output order."""
+    found = []
+    for k, cl in enumerate(partition.classes):
+        for x in cl:
+            for j in range(c.n_outputs):
+                gap = abs(float(c.matrix[x, j]) - float(class_rows[k][j]))
+                if gap > tol:
+                    found.append((c.inputs[x], c.outputs[j], gap))
+    return found
+
+
 def random_partition(rng, n):
     """Uniformly messy partition of range(n), canonicalized by Partition."""
     k = int(rng.integers(1, n + 1))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanfactor.channel import (
     AlphabetMismatch,
@@ -23,7 +25,10 @@ from chanfactor.channel import (
 
 from helpers import (
     brute_force_row_classes,
+    brute_force_violations,
     coarsen,
+    jittered_channel,
+    near_tie_chain,
     random_channel,
     random_full_support_dist,
     random_partition,
@@ -51,6 +56,11 @@ class TestChannelType:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(InvalidChannel):
             Channel(("a", "a"), ("0",), [[1.0], [1.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(InvalidChannel, match="finite"):
+            Channel(("a", "b"), ("0", "1"), [[bad, 0.5], [0.5, 0.5]])
 
     def test_matrix_immutable(self):
         c = rbsc(0.3)
@@ -96,6 +106,75 @@ class TestCausalPartition:
         for _ in range(100):
             c = random_channel(rng)
             assert list(causal_partition(c).classes) == brute_force_row_classes(c.matrix)
+
+    @pytest.mark.parametrize("jitter", [0.25, 0.5, 1.0, 2.0])
+    def test_matches_brute_force_on_jittered_channels(self, jitter):
+        # 125 channels per level, 500 in all; members sit at, inside and
+        # outside the tolerance boundary of their class row.
+        rng = np.random.default_rng([23, int(jitter * 4)])
+        for _ in range(125):
+            c = jittered_channel(
+                rng,
+                int(rng.integers(1, 80)),
+                int(rng.integers(1, 8)),
+                int(rng.integers(1, 10)),
+                jitter * 1e-9,
+            )
+            assert list(causal_partition(c).classes) == brute_force_row_classes(c.matrix)
+
+    def test_matches_brute_force_on_near_tie_chains(self):
+        # Neighbours 0.6 tol apart: each row ties with both neighbours but
+        # not with rows two steps away, so only first-match order decides.
+        rng = np.random.default_rng(29)
+        split = 0
+        for _ in range(100):
+            c = near_tie_chain(rng, int(rng.integers(2, 40)), int(rng.integers(2, 9)), 0.6e-9)
+            expected = brute_force_row_classes(c.matrix)
+            assert list(causal_partition(c).classes) == expected
+            split += len(expected) > 1
+        assert split >= 50
+
+    @pytest.mark.parametrize("n_outputs,tol", [(2, 1e-10), (5, 1e-12), (9, 1e-12)])
+    def test_matches_brute_force_on_common_mode_offsets(self, n_outputs, tol):
+        # Offsets of +-tol/2 on every entry put row pairs tol apart in
+        # max-norm up to round-off, on the boundary of the <= tol test.
+        rng = np.random.default_rng([67, n_outputs])
+        split = 0
+        for _ in range(40):
+            base = 0.5 * rng.dirichlet(np.ones(n_outputs)) + 0.5 / n_outputs
+            shift = rng.choice([-1.0, 1.0, 0.0], size=(40, 1))
+            shift[rng.random((40, 1)) < 0.3] *= rng.random()
+            c = Channel(tuple(range(40)), tuple(range(n_outputs)), base + shift * tol / 2)
+            expected = brute_force_row_classes(c.matrix, tol)
+            assert list(causal_partition(c, tol).classes) == expected
+            split += len(expected) > 1
+        assert split >= 5
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40),
+        st.sampled_from([0.3, 0.5, 0.6, 1.0]),
+    )
+    def test_matches_brute_force_on_lattice_rows(self, offsets, step):
+        # Rows on a lattice of zero-sum offsets a * u + b * v, spaced a
+        # fraction of tol apart in two directions, so ties, near-ties and
+        # exact duplicates all occur.
+        base = np.array([0.4, 0.3, 0.2, 0.1])
+        u, v = np.array([1.0, -1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0, 1.0])
+        rows = [base + (a * u + b * v) * step * 1e-9 for a, b in offsets]
+        c = Channel(tuple(range(len(rows))), tuple(range(4)), rows)
+        assert list(causal_partition(c).classes) == brute_force_row_classes(c.matrix)
+
+    def test_matches_brute_force_on_large_channel(self):
+        rng = np.random.default_rng(37)
+        c = jittered_channel(rng, 5000, 50, 8, 0.5e-9)
+        assert list(causal_partition(c).classes) == brute_force_row_classes(c.matrix)
+
+    def test_custom_tol_matches_brute_force(self):
+        rng = np.random.default_rng(53)
+        for tol in (1e-14, 1e-6, 0.05):
+            c = jittered_channel(rng, 300, 20, 5, tol)
+            assert list(causal_partition(c, tol).classes) == brute_force_row_classes(c.matrix, tol)
 
     def test_equivalence_relation_on_exact_duplicates(self):
         # With planted exact duplicates row-equality is transitive, so the
@@ -229,6 +308,23 @@ class TestVerifyFactorization:
         deltas = {(x, y): d for x, y, d in check.violations}
         assert abs(deltas[("1", "0")] - 0.4) <= 1e-12
 
+    def test_wrong_merges_match_reference_violations(self):
+        rng = np.random.default_rng(59)
+        checked = 0
+        for _ in range(60):
+            c = random_channel(rng, duplicate_rows=True)
+            causal = causal_partition(c)
+            if causal.n_classes < 2:
+                continue
+            p = coarsen(rng, causal)
+            f = factorization_from_partition(c, p)
+            check = verify_factorization(c, f)
+            expected = brute_force_violations(c, p, f.reduced.matrix, 1e-9)
+            assert expected and not check
+            assert list(check.violations) == expected
+            checked += 1
+        assert checked >= 20
+
     def test_any_refinement_verifies(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
@@ -326,6 +422,11 @@ class TestInputDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             InputDistribution(np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            InputDistribution(np.array([bad, 0.5]))
 
     def test_full_support_flag(self):
         assert InputDistribution(np.array([0.5, 0.5])).full_support

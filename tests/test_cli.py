@@ -120,6 +120,39 @@ class TestQFactorize:
         assert doc["report"]["cardinality"] == 1
         assert abs(doc["report"]["advantage"]) <= 1e-9
 
+    def test_nan_channel_exit_code(self, capsys, tmp_path):
+        # NaN slipped past every min/max check and came out "verified".
+        path = tmp_path / "nan.json"
+        path.write_text(
+            json.dumps({"inputs": ["a", "b"], "outputs": ["0", "1"], "rows": [[math.nan, 0.5], [0.5, 0.5]]})
+        )
+        code, out, err = run(capsys, "qfactorize", str(path))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_nan_distribution_exit_code(self, capsys, rbsc_file, tmp_path):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps([math.nan, 0.5, 0.25, 0.25]))
+        code, out, _ = run(capsys, "qfactorize", rbsc_file, "--dist", str(dist))
+        assert code == 2 and out == ""
+
+    def test_tol_sets_fidelity_saturation(self, capsys, tmp_path):
+        # sqrt(p)**2 == p for every entry, so the factorization verifies at
+        # any tol, while F_Q and F_C of the pair differ by 2.2e-16 round-off.
+        path = tmp_path / "roundoff.json"
+        path.write_text(
+            json.dumps({"inputs": ["a", "b"], "outputs": ["0", "1"], "rows": [[0.69, 1 - 0.69], [0.46, 1 - 0.46]]})
+        )
+        saturated = {}
+        for tol in ("1e-16", "1e-9"):
+            code, out, _ = run(capsys, "qfactorize", str(path), "--tol", tol)
+            assert code == 0
+            (pair,) = json.loads(out)["report"]["fidelity_pairs"]
+            assert pair["slack"] != 0.0
+            saturated[tol] = pair["saturated"]
+        assert saturated == {"1e-16": False, "1e-9": True}
+
     def test_output_file(self, capsys, rbsc_file, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "qfactorize", rbsc_file, "--out", str(out_path))
@@ -214,6 +247,16 @@ class TestPhaseScan:
         spec = self.write_spec(tmp_path, [0.5, 0.5], [1.0, 0.6], [0.0, 0.8])
         code, _, err = run(capsys, "phase-scan", spec)
         assert code == 2
+
+    def test_non_finite_result_exit_code(self, capsys, tmp_path):
+        # A NaN weight propagates into the phases; the report must not
+        # carry it out as a non-standard NaN token.
+        spec = tmp_path / "nan.json"
+        spec.write_text(json.dumps({"weights": [math.nan, 0.5], "a": [0.6, 0.8], "b": [0.8, 0.6]}))
+        code, out, err = run(capsys, "phase-scan", str(spec))
+        assert code == 2
+        assert out == ""
+        assert "validation error" in err
 
     def test_malformed_spec_exit_code(self, capsys, tmp_path):
         path = tmp_path / "ens.json"

@@ -40,6 +40,9 @@ from chanfactor.qfactor import (
 )
 
 from helpers import (
+    brute_force_violations,
+    coarsen,
+    jittered_channel,
     opwo_ensemble,
     random_channel,
     random_density,
@@ -196,6 +199,47 @@ class TestVerifyQFactorization:
         q = QFactorization(c.inputs, part, (s_a, s_b, s_a), POVM.computational(c.outputs))
         assert verify_qfactorization(c, q, 1e-12)
         assert part.refines(causal_partition(c))
+
+    def test_wrong_merges_match_reference_violations(self):
+        rng = np.random.default_rng(73)
+        checked = 0
+        for _ in range(60):
+            c = random_channel(rng, duplicate_rows=True)
+            causal = causal_partition(c)
+            if causal.n_classes < 2:
+                continue
+            coarse = coarsen(rng, causal)
+            # Each coarse class keeps the signal of its lowest member.
+            g0 = g0_construct(c)
+            signals = tuple(g0.signal_for_input(cl[0]) for cl in coarse.classes)
+            q = QFactorization(c.inputs, coarse, signals, g0.povm)
+            check = verify_qfactorization(c, q)
+            born = [born_probabilities_oracle(q.povm, s.matrix) for s in signals]
+            expected = brute_force_violations(c, coarse, born, 1e-9)
+            assert expected and not check
+            assert [v[:2] for v in check.violations] == [v[:2] for v in expected]
+            assert np.allclose(
+                [v[2] for v in check.violations], [v[2] for v in expected], rtol=0, atol=1e-14
+            )
+            checked += 1
+        assert checked >= 20
+
+    def test_mixed_signals_match_reference_violations(self):
+        # Non-diagonal POVM and mixed signals: the SIC family at t = 0
+        # checked against a channel whose rows are all shifted by 0.01.
+        family = build_sic_family()
+        q = family_qfactorization(family, 0.0)
+        c0 = family_channel(family, 0.0)
+        shifted = np.roll(c0.matrix, 1, axis=1) * 0.01 + c0.matrix * 0.99
+        c = Channel(c0.inputs, c0.outputs, shifted)
+        check = verify_qfactorization(c, q)
+        born = [born_probabilities_oracle(q.povm, s.matrix) for s in q.signals]
+        expected = brute_force_violations(c, q.partition, born, 1e-9)
+        assert expected and not check
+        assert [v[:2] for v in check.violations] == [v[:2] for v in expected]
+        assert np.allclose(
+            [v[2] for v in check.violations], [v[2] for v in expected], rtol=0, atol=1e-14
+        )
 
     def test_alphabet_mismatch_raises(self):
         c = rbsc(0.3)
@@ -488,6 +532,40 @@ class TestFidelityBound:
         pair = report.pairs[0]
         assert pair.f_quantum < pair.f_classical - 1e-3
         assert not pair.saturated
+
+    def test_pairs_match_per_pair_fidelities(self):
+        # The array pass must reproduce the per-pair reference bit for bit,
+        # including output counts long enough for pairwise summation.
+        rng = np.random.default_rng(127)
+        for n_outputs in (1, 2, 7, 8, 9, 16, 40, 130):
+            c = jittered_channel(rng, 30, 12, n_outputs, 0.0)
+            q = g0_construct(c)
+            reps = q.partition.representatives
+            report = fidelity_bound_check(c, q)
+            k = len(reps)
+            assert len(report.pairs) == k * (k - 1) // 2
+            pairs = iter(report.pairs)
+            for i in range(k):
+                for j in range(i + 1, k):
+                    pair = next(pairs)
+                    assert (pair.label_i, pair.label_j) == (c.inputs[reps[i]], c.inputs[reps[j]])
+                    assert pair.f_classical == classical_fidelity(c.matrix[reps[i]], c.matrix[reps[j]])
+                    assert pair.f_quantum == quantum_fidelity(q.signals[i], q.signals[j])
+
+    def test_pure_path_matches_uhlmann_formula(self):
+        # Witness-free copies of the same states take the general Uhlmann
+        # route in quantum_fidelity.
+        rng = np.random.default_rng(131)
+        for _ in range(20):
+            c = random_channel(rng, duplicate_rows=True)
+            q = g0_construct(c)
+            bare = QFactorization(
+                q.input_labels, q.partition, tuple(DensityMatrix(s.matrix) for s in q.signals), q.povm
+            )
+            fast, slow = fidelity_bound_check(c, q), fidelity_bound_check(c, bare)
+            for a, b in zip(fast.pairs, slow.pairs):
+                assert a.f_classical == b.f_classical
+                assert abs(a.f_quantum - b.f_quantum) <= 1e-12
 
     def test_orthogonal_rows_channel(self):
         c = Channel(("a", "b"), ("0", "1"), [[1.0, 0.0], [0.0, 1.0]])
