@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, Partition
-from .linalg import purity
+from .linalg import RANK_TOL, purity
 from .qfactor import (
     POVM,
     DensityMatrix,
@@ -221,7 +221,7 @@ def m8_constraint_rank(f: SicFamily) -> tuple:
     a = np.array(
         [[np.trace(e @ bm).real for bm in basis] for e in f.povm_m8.elements]
     )
-    rank = int(np.linalg.matrix_rank(a, tol=1e-9))
+    rank = int(np.linalg.matrix_rank(a, tol=RANK_TOL))
     _, _, vh = np.linalg.svd(a)
     coeffs = vh[-1]
     direction = sum(c * bm for c, bm in zip(coeffs, basis))

@@ -9,10 +9,11 @@ gives the coarsest deterministic-first-stage factorization of the channel.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _freeze
 
 __all__ = [
     "AlphabetMismatch",
@@ -34,9 +35,6 @@ __all__ = [
     "verify_factorization",
 ]
 
-# Default max-norm tolerance for "these output rows are the same distribution".
-ROW_TOL = 1e-9
-
 
 class InvalidChannel(ValueError):
     """Channel data violates shape, row-sum, or entry-range constraints."""
@@ -46,10 +44,32 @@ class AlphabetMismatch(ValueError):
     """Two objects indexed by different alphabets were combined."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.flags.writeable = False
-    return a
+def _weight_vector(values, name: str) -> np.ndarray:
+    """Frozen probability vector; ValueError unless 1-D, nonempty, finite, >= -NEG_TOL, sum 1."""
+    w = np.asarray(values, dtype=float)
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError(f"{name} must form a nonempty vector")
+    # Written to pass only when true: a NaN or infinite entry fails one of them.
+    if not w.min() >= -NEG_TOL:
+        raise ValueError(f"{name} must be finite and nonnegative, got min {w.min()!r}")
+    if not abs(w.sum() - 1.0) <= SUM_TOL:
+        raise ValueError(f"{name} must be finite and sum to 1, got {w.sum()!r}")
+    return _freeze(w)
+
+
+def _number_array(data, what: str) -> np.ndarray:
+    """Float array of JSON ``data``; InvalidChannel unless a rectangular array of numbers."""
+    try:
+        a = np.asarray(data)
+    except ValueError:
+        raise InvalidChannel(f"{what} must form a rectangular array") from None
+    flat = data
+    for _ in range(a.ndim - 1):
+        flat = itertools.chain.from_iterable(flat)
+    # numpy casts a JSON true/false mixed with numbers to 1/0, so look at the entries.
+    if a.dtype.kind not in "iuf" or (a.ndim and bool in map(type, flat)):
+        raise InvalidChannel(f"{what} must hold only numbers")
+    return a.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -58,7 +78,7 @@ class Channel:
 
     ``matrix[i, j]`` is the probability of output ``outputs[j]`` given input
     ``inputs[i]``. Entries must be finite and lie in [0, 1] up to round-off,
-    and rows must sum to 1 within 1e-9.
+    and rows must sum to 1 within SUM_TOL.
     """
 
     inputs: tuple
@@ -78,16 +98,15 @@ class Channel:
             )
         if len(self.inputs) < 1 or len(self.outputs) < 1:
             raise InvalidChannel("alphabets must be nonempty")
-        if len(set(self.inputs)) != len(self.inputs):
-            raise InvalidChannel("duplicate input labels")
-        if len(set(self.outputs)) != len(self.outputs):
-            raise InvalidChannel("duplicate output labels")
+        for side, labels in (("input", self.inputs), ("output", self.outputs)):
+            if len(set(labels)) != len(labels):
+                raise InvalidChannel(f"duplicate {side} labels")
         if not np.isfinite(m).all():
             raise InvalidChannel("entries must be finite")
-        if m.min() < -1e-12 or m.max() > 1 + 1e-12:
+        if m.min() < -NEG_TOL or m.max() > 1 + NEG_TOL:
             raise InvalidChannel("entries must lie in [0, 1]")
         rowsum_err = np.abs(m.sum(axis=1) - 1.0).max()
-        if rowsum_err > 1e-9:
+        if rowsum_err > SUM_TOL:
             raise InvalidChannel(f"row sums deviate from 1 by {rowsum_err:.3e}")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -117,7 +136,14 @@ class Channel:
         missing = {"inputs", "outputs", "rows"} - set(data)
         if missing:
             raise InvalidChannel(f"channel document missing keys: {sorted(missing)}")
-        return cls(tuple(data["inputs"]), tuple(data["outputs"]), np.asarray(data["rows"], dtype=float))
+        for key in ("inputs", "outputs"):
+            labels = data[key]
+            if not isinstance(labels, list) or not all(
+                x is None or isinstance(x, (str, int, float)) for x in labels
+            ):
+                raise InvalidChannel(f"{key} must be an array of JSON scalars")
+        rows = _number_array(data["rows"], "rows")
+        return cls(tuple(data["inputs"]), tuple(data["outputs"]), rows)
 
 
 def rbsc(p: float) -> Channel:
@@ -191,16 +217,7 @@ class InputDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("probabilities must form a nonempty vector")
-        if not np.isfinite(p).all():
-            raise ValueError("probabilities must be finite")
-        if p.min() < -1e-12:
-            raise ValueError(f"negative probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        object.__setattr__(self, "probs", _freeze(p))
+        object.__setattr__(self, "probs", _weight_vector(self.probs, "probabilities"))
 
     @property
     def full_support(self) -> bool:

@@ -22,14 +22,17 @@ from .channel import (
     Channel,
     InputDistribution,
     InvalidChannel,
+    _number_array,
     causal_factorization,
     pushforward,
     shannon_entropy,
 )
+from .linalg import ENTROPY_TOL, ROW_TOL
 from .qfactor import (
     DensityMatrix,
     Ensemble,
     PureState,
+    advantage_grid,
     average_state,
     fidelity_bound_check,
     g0_construct,
@@ -56,12 +59,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ParseError(f"{path} is not valid JSON: {err}") from err
-
-
-def _load_channel(path: str) -> Channel:
-    return Channel.from_json(_load_json(path))
 
 
 def _load_dist(path: str | None, n: int) -> InputDistribution:
@@ -69,10 +68,10 @@ def _load_dist(path: str | None, n: int) -> InputDistribution:
         return InputDistribution.uniform(n)
     data = _load_json(path)
     if isinstance(data, dict):
-        data = data.get("probabilities", data.get("probs"))
+        data = data.get("probabilities")
     if data is None:
         raise ParseError(f"{path}: expected a probability array")
-    return InputDistribution(np.asarray(data, dtype=float))
+    return InputDistribution(_number_array(data, "probabilities"))
 
 
 def _write(args, text: str) -> None:
@@ -87,17 +86,11 @@ def _emit_json(args, doc: dict) -> None:
     _write(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-def _config_echo(args, **extra) -> dict:
-    cfg = {"command": args.command, "seed": args.seed, "tol": args.tol}
-    cfg.update(extra)
-    return cfg
-
-
 def cmd_factorize(args) -> int:
-    c = _load_channel(args.channel)
+    c = Channel.from_json(_load_json(args.channel))
     f = causal_factorization(c, args.tol)
     doc = {
-        "config": _config_echo(args, channel=args.channel),
+        "config": {"command": args.command, "tol": args.tol, "channel": args.channel},
         "partition": [[c.inputs[x] for x in cl] for cl in f.partition.classes],
         "cardinality": f.partition.n_classes,
         "reduced_channel": f.reduced.to_json(),
@@ -111,7 +104,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_qfactorize(args) -> int:
-    c = _load_channel(args.channel)
+    c = Channel.from_json(_load_json(args.channel))
     q = g0_construct(c, args.tol)
     check = verify_qfactorization(c, q, args.tol)
     bound = fidelity_bound_check(c, q, args.tol)
@@ -121,7 +114,7 @@ def cmd_qfactorize(args) -> int:
     s_signal = von_neumann_entropy(rho)
     h_z = shannon_entropy(weights)
     doc = {
-        "config": _config_echo(args, channel=args.channel),
+        "config": {"command": args.command, "tol": args.tol, "channel": args.channel},
         "qfactorization": qfactorization_to_json(q),
         "report": {
             "verified": check.ok,
@@ -145,34 +138,9 @@ def cmd_qfactorize(args) -> int:
     return EXIT_OK if check.ok else EXIT_VALIDATION
 
 
-def _rbsc_signal_pair(p: float) -> tuple:
-    """Signal states of the two-class binary-symmetric reduction at noise p."""
-    s0 = PureState(np.array([np.sqrt(1 - p), np.sqrt(p)]))
-    s1 = PureState(np.array([np.sqrt(p), np.sqrt(1 - p)]))
-    return DensityMatrix.from_pure(s0), DensityMatrix.from_pure(s1)
-
-
-def advantage_grid(p_values: np.ndarray, alpha_values: np.ndarray) -> np.ndarray:
-    """H(Z) - S(rho) for the binary-symmetric family over (p, alpha).
-
-    Z is the fixed two-class intermediate with Prob(Z=0) = alpha; the
-    quantum side mixes the square-root-amplitude signal pair with the same
-    weights.
-    """
-    grid = np.empty((p_values.size, alpha_values.size))
-    for i, p in enumerate(p_values):
-        states = _rbsc_signal_pair(float(p))
-        for j, alpha in enumerate(alpha_values):
-            w = np.array([alpha, 1.0 - alpha])
-            h_z = float(-(w[w > 0] * np.log2(w[w > 0])).sum())
-            s = von_neumann_entropy(average_state(Ensemble(w, states)))
-            grid[i, j] = h_z - s
-    return grid
-
-
 def cmd_heatmap(args) -> int:
     p_steps = args.points
-    alpha_steps = args.alpha_points or args.points
+    alpha_steps = args.points if args.alpha_points is None else args.alpha_points
     if p_steps < 2 or alpha_steps < 2:
         raise InvalidChannel("heatmap needs at least 2 steps per axis")
     ps = np.linspace(0.0, 1.0, p_steps)
@@ -191,13 +159,11 @@ def cmd_phase_scan(args) -> int:
     if not isinstance(data, dict) or not {"weights", "a", "b"} <= set(data):
         raise ParseError(f"{args.ensemble}: expected keys weights, a, b")
     ens = phase.PhasedQubitEnsemble.from_magnitudes(
-        np.asarray(data["weights"], dtype=float),
-        np.asarray(data["a"], dtype=float),
-        np.asarray(data["b"], dtype=float),
+        *(_number_array(data[key], key) for key in ("weights", "a", "b"))
     )
     phases, entropy = phase.optimal_phases(ens)
     if ens.size <= 3:
-        resolution = args.points or (360 if ens.size <= 2 else 72)
+        resolution = (360 if ens.size <= 2 else 72) if args.points is None else args.points
         scan = phase.grid_scan(ens, resolution)
         grid_min, grid_res = scan.min_entropy, scan.resolution
     else:
@@ -207,13 +173,13 @@ def cmd_phase_scan(args) -> int:
         grid_min = float(np.min(phase.entropy_from_delta(deltas)))
         grid_res = 2
     doc = {
-        "config": _config_echo(args, ensemble=args.ensemble),
+        "config": {"command": args.command, "tol": ENTROPY_TOL, "ensemble": args.ensemble},
         "phases": phases.tolist(),
         "delta": phase.delta(ens.with_phases(phases)),
         "entropy": entropy,
         "grid_min_entropy": grid_min,
         "grid_resolution": grid_res,
-        "pass": bool(entropy <= grid_min + 1e-9),
+        "pass": bool(entropy <= grid_min + ENTROPY_TOL),
     }
     _emit_json(args, doc)
     return EXIT_OK
@@ -221,8 +187,7 @@ def cmd_phase_scan(args) -> int:
 
 def cmd_casestudy(args) -> int:
     family = casestudy.build_sic_family()
-    n_points = args.points or 151
-    curve = casestudy.entropy_purity_curve(family, n_points)
+    curve = casestudy.entropy_purity_curve(family, args.points)
     lines = ["t,entropy_rho_t,purity_rho_t,entropy_rho_At"]
     for pt in curve.points:
         lines.append(
@@ -290,7 +255,7 @@ def cmd_merge_demo(args) -> int:
         2,
     )
     doc = {
-        "config": _config_echo(args),
+        "config": {"command": args.command},
         "pure_states": pure_case,
         "mixed_states": mixed_case,
     }
@@ -306,46 +271,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, points_default=None):
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
-        p.add_argument(
-            "--points",
-            type=int,
-            default=points_default,
-            help="grid points per axis / curve samples",
-        )
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("factorize", help="causal partition and reduced channel")
-    p.add_argument("channel", help="channel JSON file")
-    p.add_argument("--dist", help="input distribution JSON file")
-    common(p)
-    p.set_defaults(func=cmd_factorize)
+    for name, func, help_text in (
+        ("factorize", cmd_factorize, "causal partition and reduced channel"),
+        ("qfactorize", cmd_qfactorize, "square-root-amplitude quantum factorization"),
+    ):
+        p = command(name, func, help_text)
+        p.add_argument("channel", help="channel JSON file")
+        p.add_argument("--dist", help="input distribution JSON file")
+        p.add_argument("--tol", type=float, default=ROW_TOL, help="row-equality tolerance")
 
-    p = sub.add_parser("qfactorize", help="square-root-amplitude quantum factorization")
-    p.add_argument("channel", help="channel JSON file")
-    p.add_argument("--dist", help="input distribution JSON file")
-    common(p)
-    p.set_defaults(func=cmd_qfactorize)
+    p = command("heatmap", cmd_heatmap, "quantum advantage grid for the binary-symmetric family")
+    p.add_argument("--points", type=int, default=101, help="grid points per axis")
+    p.add_argument("--alpha-points", type=int, help="alpha-axis points (default: --points)")
 
-    p = sub.add_parser("heatmap", help="quantum advantage grid for the binary-symmetric family")
-    common(p, points_default=101)
-    p.add_argument("--alpha-points", type=int, help="override alpha-axis steps")
-    p.set_defaults(func=cmd_heatmap)
-
-    p = sub.add_parser("phase-scan", help="verify equal phases minimize entropy")
+    p = command("phase-scan", cmd_phase_scan, "verify equal phases minimize entropy")
     p.add_argument("ensemble", help="JSON file with weights, a, b arrays")
-    common(p)
-    p.set_defaults(func=cmd_phase_scan)
+    p.add_argument("--points", type=int, help="phase grid points (default 360; 72 for 3 states)")
 
-    p = sub.add_parser("casestudy", help="entropy/purity curve of the qutrit family")
-    common(p, points_default=151)
-    p.set_defaults(func=cmd_casestudy)
+    p = command("casestudy", cmd_casestudy, "entropy/purity curve of the qutrit family")
+    p.add_argument("--points", type=int, default=151, help="curve samples")
 
-    p = sub.add_parser("merge-demo", help="worked ensemble-merging examples")
-    common(p)
-    p.set_defaults(func=cmd_merge_demo)
+    command("merge-demo", cmd_merge_demo, "worked ensemble-merging examples")
 
     return parser
 

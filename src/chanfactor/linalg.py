@@ -22,12 +22,28 @@ __all__ = [
     "purity",
 ]
 
-# Max |A - A†| entry before a matrix is rejected as non-Hermitian.
+# Every round-off tolerance of the package; entries are O(1), so all are absolute.
+
+# Equal rows or matrices: partition, checks, saturation, witness, CLI --tol; far above round-off.
+ROW_TOL = 1e-9
+# Row sum, weight sum or trace vs 1: a sum of entries, held at the scale of ROW_TOL.
+SUM_TOL = 1e-9
+# Probabilities and weights down to -NEG_TOL are round-off zeros of differences like 1 - p.
+NEG_TOL = 1e-12
+# Max |A - A†| for eig_hermitian: general input such as computed products, looser than STATE_TOL.
 HERMITIAN_TOL = 1e-8
-# Most negative eigenvalue tolerated before a matrix is rejected as non-PSD.
+# psd_sqrt clamps eigenvalues down to -PSD_TOL: they move by about the asymmetry HERMITIAN_TOL.
 PSD_TOL = 1e-8
-# Round-off negatives above -EIG_CLAMP are treated as exact zeros.
+# Eigenvalues down to -EIG_CLAMP are round-off zeros of a validated density matrix.
 EIG_CLAMP = 1e-10
+# State norm, a^2 + b^2 and DensityMatrix Hermiticity: states are sums of a few O(1) products.
+STATE_TOL = 1e-10
+# Uhlmann eigenvalues below this fraction of the largest are square-root noise worth sqrt(eps) each.
+UHLMANN_CUTOFF = 1e-14
+# Case-study rank cutoff: the M8 singular values are 0.41 and one null value near 5e-17.
+RANK_TOL = 1e-9
+# Entropy gap in bits treated as a tie: rebit `beaten` and the phase-scan `pass` check.
+ENTROPY_TOL = 1e-9
 
 
 class NotHermitian(ValueError):
@@ -76,7 +92,7 @@ class HermitianEigen:
 def eig_hermitian(m) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian if the max asymmetry exceeds 1e-8. Eigenvalues are
+    Raises NotHermitian if the max asymmetry exceeds HERMITIAN_TOL. Eigenvalues are
     real and returned in descending order.
     """
     a = _check_hermitian(_square(m))
@@ -88,7 +104,7 @@ def eig_hermitian(m) -> HermitianEigen:
 def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
-    Eigenvalues in [-1e-8, 0) are treated as round-off and clamped to zero;
+    Eigenvalues in [-PSD_TOL, 0) are treated as round-off and clamped to zero;
     anything more negative raises NotPSD. The result R is Hermitian and
     satisfies R @ R ~= m.
     """
@@ -99,6 +115,13 @@ def psd_sqrt(m) -> np.ndarray:
     v = eig.eigenvectors
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
     return (root + root.conj().T) / 2
+
+
+def _freeze(a) -> np.ndarray:
+    """Read-only copy of ``a``, so frozen dataclasses stay immutable."""
+    a = np.array(a, copy=True)
+    a.flags.writeable = False
+    return a
 
 
 def purity(m) -> float:

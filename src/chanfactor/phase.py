@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _weight_vector
+from .linalg import STATE_TOL, _freeze
 from .qfactor import Ensemble, PureState
 
 __all__ = [
@@ -37,12 +39,6 @@ class DegenerateMagnitudes(ValueError):
     """Some amplitude magnitude is zero, so its phase has no effect."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class PhasedQubitEnsemble:
     """Weighted qubit states a_j|0> + b_j e^{i phi_j}|1>.
@@ -57,23 +53,22 @@ class PhasedQubitEnsemble:
     phases: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _weight_vector(self.weights, "weights")
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         phi = np.asarray(self.phases, dtype=float)
-        n = w.size
-        if not (a.size == b.size == phi.size == n) or n < 1:
-            raise ValueError("weights, a, b, phases must have equal nonzero length")
-        if w.min() < -1e-12:
-            raise ValueError(f"negative weight {w.min():.3e}")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+        if not (a.size == b.size == phi.size == w.size):
+            raise ValueError("weights, a, b, phases must have equal length")
+        if not np.isfinite(phi).all():
+            raise ValueError("phases must be finite")
         if a.min() < 0 or b.min() < 0:
             raise ValueError("magnitudes must be nonnegative")
+        # A NaN or infinite magnitude makes norm_err NaN or infinite.
         norm_err = np.abs(a**2 + b**2 - 1.0).max()
-        if norm_err > 1e-10:
-            raise ValueError(f"a_j^2 + b_j^2 deviates from 1 by {norm_err:.3e}")
-        for name, arr in (("weights", w), ("a", a), ("b", b), ("phases", phi)):
+        if not norm_err <= STATE_TOL:
+            raise ValueError(f"a_j^2 + b_j^2 must be finite and within 1 +- {STATE_TOL:.0e}, off by {norm_err:.3e}")
+        object.__setattr__(self, "weights", w)
+        for name, arr in (("a", a), ("b", b), ("phases", phi)):
             object.__setattr__(self, name, _freeze(arr))
 
     @classmethod
@@ -98,10 +93,6 @@ class PhasedQubitEnsemble:
         return Ensemble.from_pure(self.weights, self.states())
 
 
-def _pair_indices(n: int):
-    return itertools.combinations(range(n), 2)
-
-
 def _delta_of_phases(e: PhasedQubitEnsemble, phases: np.ndarray) -> np.ndarray:
     """Determinant of the average state for one or many phase rows.
 
@@ -111,7 +102,7 @@ def _delta_of_phases(e: PhasedQubitEnsemble, phases: np.ndarray) -> np.ndarray:
     w, a, b = e.weights, e.a, e.b
     coeff = w * a * b
     out = np.zeros(np.shape(phases)[:-1])
-    for j, k in _pair_indices(e.size):
+    for j, k in itertools.combinations(range(e.size), 2):
         cross = a[j] ** 2 * b[k] ** 2 + a[k] ** 2 * b[j] ** 2
         out = out + w[j] * w[k] * cross - 2 * coeff[j] * coeff[k] * np.cos(
             phases[..., k] - phases[..., j]

@@ -25,10 +25,13 @@ from .channel import (
     InputDistribution,
     Partition,
     _class_row_violations,
+    _weight_vector,
     causal_partition,
     pushforward,
 )
-from .linalg import EIG_CLAMP, psd_sqrt
+from .linalg import (
+    EIG_CLAMP, ENTROPY_TOL, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _freeze, psd_sqrt,
+)
 
 __all__ = [
     "DensityMatrix",
@@ -43,6 +46,7 @@ __all__ = [
     "QFactorization",
     "QFactorizationCheck",
     "RebitSearchResult",
+    "advantage_grid",
     "average_state",
     "fidelity_bound_check",
     "g0_construct",
@@ -67,12 +71,6 @@ class IndexOutOfRange(IndexError):
     """Ensemble index is invalid for the requested operation."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm complex amplitude vector."""
@@ -84,8 +82,8 @@ class PureState:
         if v.ndim != 1 or v.size < 1:
             raise ValueError("amplitudes must form a nonempty vector")
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-10")
+        if not abs(norm - 1.0) <= STATE_TOL:  # a NaN or infinite amplitude fails too
+            raise ValueError(f"state norm {norm!r} must be finite and within {STATE_TOL:.0e} of 1")
         object.__setattr__(self, "amplitudes", _freeze(v))
 
     @classmethod
@@ -121,14 +119,15 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-10:
-            raise ValueError("matrix is not Hermitian within 1e-10")
+        # A NaN or infinite entry makes m - m^dagger NaN or infinite there.
+        if not np.abs(m - m.conj().T).max() <= STATE_TOL:
+            raise ValueError(f"matrix must be finite and Hermitian within {STATE_TOL:.0e}")
         tr = m.trace().real
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"trace {tr!r} deviates from 1 beyond 1e-9")
+        if abs(tr - 1.0) > SUM_TOL:
+            raise ValueError(f"trace {tr!r} deviates from 1 beyond {SUM_TOL:.0e}")
         if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -EIG_CLAMP:
-            raise ValueError("matrix has an eigenvalue below -1e-10")
-        if self.pure is not None and np.abs(m - self.pure.projector()).max() > 1e-9:
+            raise ValueError(f"matrix has an eigenvalue below -{EIG_CLAMP:.0e}")
+        if self.pure is not None and np.abs(m - self.pure.projector()).max() > ROW_TOL:
             raise ValueError("pure witness does not match the matrix")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -184,19 +183,13 @@ class POVM:
     def computational(cls, labels) -> "POVM":
         """Projective measurement onto the standard basis, one label per axis."""
         labels = tuple(labels)
-        d = len(labels)
-        elems = []
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[k, k] = 1.0
-            elems.append(e)
-        return cls(tuple(elems), labels)
+        return cls(tuple(np.diag(row) for row in np.eye(len(labels), dtype=complex)), labels)
 
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
 
-    def validate(self, tol: float = 1e-9) -> PovmCheck:
+    def validate(self, tol: float = ROW_TOL) -> PovmCheck:
         asym = max(np.abs(e - e.conj().T).max() for e in self.elements)
         min_eig = min(
             np.linalg.eigvalsh((e + e.conj().T) / 2).min() for e in self.elements
@@ -264,19 +257,15 @@ class Ensemble:
     states: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _weight_vector(self.weights, "weights")
         states = tuple(self.states)
-        if w.ndim != 1 or w.size != len(states) or not states:
-            raise ValueError("need one weight per state and at least one state")
-        if w.min() < -1e-12:
-            raise ValueError(f"negative weight {w.min():.3e}")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+        if w.size != len(states):
+            raise ValueError("need one weight per state")
         d = states[0].dim
         for s in states:
             if s.dim != d:
                 raise DimensionMismatch("ensemble states must share one dimension")
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
 
     @classmethod
@@ -299,7 +288,7 @@ class Ensemble:
         return tuple(s.pure for s in self.states)
 
 
-def g0_construct(c: Channel, tol: float = 1e-9) -> QFactorization:
+def g0_construct(c: Channel, tol: float = ROW_TOL) -> QFactorization:
     """Square-root-amplitude factorization over the causal partition.
 
     Each causal class z gets the pure signal state with amplitudes
@@ -330,7 +319,7 @@ class QFactorizationCheck:
         return self.ok
 
 
-def verify_qfactorization(c: Channel, q: QFactorization, tol: float = 1e-9) -> QFactorizationCheck:
+def verify_qfactorization(c: Channel, q: QFactorization, tol: float = ROW_TOL) -> QFactorizationCheck:
     """Check POVM validity and Pr(y|x) = tr(E_y rho_{class(x)}) for all x, y.
 
     Violations are reported as (input label, output label, |delta|); the
@@ -370,6 +359,31 @@ def average_state(e: Ensemble) -> DensityMatrix:
     return DensityMatrix((total + total.conj().T) / 2)
 
 
+def _rbsc_signal_pair(p: float) -> tuple:
+    """Signal states of the two-class binary-symmetric reduction at noise p."""
+    s0 = PureState(np.array([np.sqrt(1 - p), np.sqrt(p)]))
+    s1 = PureState(np.array([np.sqrt(p), np.sqrt(1 - p)]))
+    return DensityMatrix.from_pure(s0), DensityMatrix.from_pure(s1)
+
+
+def advantage_grid(p_values: np.ndarray, alpha_values: np.ndarray) -> np.ndarray:
+    """H(Z) - S(rho) for the binary-symmetric family over (p, alpha).
+
+    Z is the fixed two-class intermediate with Prob(Z=0) = alpha; the
+    quantum side mixes the square-root-amplitude signal pair with the same
+    weights.
+    """
+    grid = np.empty((p_values.size, alpha_values.size))
+    for i, p in enumerate(p_values):
+        states = _rbsc_signal_pair(float(p))
+        for j, alpha in enumerate(alpha_values):
+            w = np.array([alpha, 1.0 - alpha])
+            h_z = float(-(w[w > 0] * np.log2(w[w > 0])).sum())
+            s = von_neumann_entropy(average_state(Ensemble(w, states)))
+            grid[i, j] = h_z - s
+    return grid
+
+
 def _as_density(s) -> DensityMatrix:
     if isinstance(s, DensityMatrix):
         return s
@@ -400,7 +414,7 @@ def quantum_fidelity(s1, s2) -> float:
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     # Spurious eigenvalues of order eps would contribute sqrt(eps) each;
     # cut them off relative to the leading eigenvalue.
-    cutoff = max(w.max(), 0.0) * 1e-14
+    cutoff = max(w.max(), 0.0) * UHLMANN_CUTOFF
     w = w[w > cutoff]
     return float(min(np.sqrt(w).sum(), 1.0)) if w.size else 0.0
 
@@ -427,7 +441,7 @@ def merge(e: Ensemble, j: int, k: int) -> tuple:
     return reassign(j, k), reassign(k, j)
 
 
-def is_opwo(e: Ensemble, tol: float = 1e-9) -> bool:
+def is_opwo(e: Ensemble, tol: float = ROW_TOL) -> bool:
     """True if each pure state overlaps at most one other state.
 
     Two states are connected when |<psi_i|psi_j>| exceeds ``tol``; the
@@ -494,7 +508,7 @@ class FidelityBoundReport:
         return all(p.saturated for p in self.pairs)
 
 
-def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = 1e-9) -> FidelityBoundReport:
+def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) -> FidelityBoundReport:
     """Compare F_Q(signal_i, signal_j) against the Bhattacharyya coefficient
     of the corresponding channel rows for every class pair i < j.
 
@@ -540,7 +554,7 @@ class RebitSearchResult:
 
     @property
     def beaten(self) -> bool:
-        return self.best_entropy < self.baseline_entropy - 1e-9
+        return self.best_entropy < self.baseline_entropy - ENTROPY_TOL
 
 
 def rebit_sign_search(

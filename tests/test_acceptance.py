@@ -24,7 +24,6 @@ from chanfactor.channel import (
     rbsc,
     shannon_entropy,
 )
-from chanfactor.cli import advantage_grid
 from chanfactor.phase import (
     PhasedQubitEnsemble,
     delta,
@@ -37,6 +36,7 @@ from chanfactor.qfactor import (
     DensityMatrix,
     Ensemble,
     PureState,
+    advantage_grid,
     average_state,
     fidelity_bound_check,
     g0_construct,

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chanfactor import linalg
 from chanfactor.channel import (
+    ROW_TOL,
     AlphabetMismatch,
     Channel,
     InputDistribution,
@@ -77,6 +79,34 @@ class TestChannelType:
     def test_from_json_missing_key(self):
         with pytest.raises(InvalidChannel):
             Channel.from_json({"inputs": ["a"], "rows": [[1.0]]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"inputs": [{"a": 1}, "b"], "outputs": ["0"], "rows": [[1.0], [1.0]]},
+            {"inputs": ["a"], "outputs": [["0"]], "rows": [[1.0]]},
+            {"inputs": "ab", "outputs": ["0"], "rows": [[1.0], [1.0]]},
+            {"inputs": ["a"], "outputs": ["0", "1"], "rows": [["0.5", "0.5"]]},
+            {"inputs": ["a"], "outputs": ["0", "1"], "rows": [[{"p": 1}, 0.0]]},
+            {"inputs": ["a", "b"], "outputs": ["0", "1"], "rows": [[0.5, 0.5], [1.0]]},
+            {"inputs": ["a", "b"], "outputs": ["0", "1"], "rows": [[True, 0.0], [0.5, 0.5]]},
+        ],
+        ids=[
+            "dict-label",
+            "list-label",
+            "string-alphabet",
+            "string-entry",
+            "dict-entry",
+            "ragged",
+            "bool-among-numbers",
+        ],
+    )
+    def test_from_json_rejects_non_json_scalars(self, doc):
+        with pytest.raises(InvalidChannel):
+            Channel.from_json(doc)
+
+    def test_row_tol_lives_in_linalg(self):
+        assert ROW_TOL is linalg.ROW_TOL == 1e-9
 
 
 class TestCausalPartition:

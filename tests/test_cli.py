@@ -1,12 +1,17 @@
+import argparse
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chanfactor.channel import rbsc
-from chanfactor.cli import advantage_grid, main
-from chanfactor.qfactor import qfactorization_from_json, verify_qfactorization
+from chanfactor.cli import build_parser, main
+from chanfactor.qfactor import advantage_grid, qfactorization_from_json, verify_qfactorization
 
 
 @pytest.fixture()
@@ -69,8 +74,35 @@ class TestFactorize:
         assert code == 3
         assert "parse error" in err
 
+    def test_deeply_nested_document_exit_code(self, capsys, tmp_path):
+        # The JSON decoder's RecursionError used to escape as a traceback.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "factorize", str(path))
+        assert code == 3
+        assert "parse error" in err
+
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run(capsys, "factorize", "/nonexistent/chan.json")
+        assert code == 3
+
+    def test_unhashable_label_exit_code(self, capsys, tmp_path):
+        # A dict label used to escape set() as a TypeError traceback.
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"inputs": [{"a": 1}, "b"], "outputs": ["0"], "rows": [[1.0], [1.0]]}))
+        code, out, err = run(capsys, "factorize", str(path))
+        assert code == 2 and out == ""
+        assert "validation error" in err
+
+    def test_probabilities_object_distribution(self, capsys, rbsc_file, tmp_path):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"probabilities": [0.2, 0.3, 0.2, 0.3]}))
+        _, by_object, _ = run(capsys, "factorize", rbsc_file, "--dist", str(dist))
+        dist.write_text(json.dumps([0.2, 0.3, 0.2, 0.3]))
+        _, by_array, _ = run(capsys, "factorize", rbsc_file, "--dist", str(dist))
+        assert json.loads(by_object)["entropy_z"] == json.loads(by_array)["entropy_z"]
+        dist.write_text(json.dumps({"probs": [0.2, 0.3, 0.2, 0.3]}))
+        code, _, _ = run(capsys, "factorize", rbsc_file, "--dist", str(dist))
         assert code == 3
 
     def test_invalid_channel_exit_code(self, capsys, tmp_path):
@@ -199,6 +231,11 @@ class TestHeatmap:
         code, _, _ = run(capsys, "heatmap", "--points", "1")
         assert code == 2
 
+    def test_rejects_zero_alpha_points(self, capsys):
+        # 0 used to fall back to --points.
+        code, out, _ = run(capsys, "heatmap", "--points", "2", "--alpha-points", "0")
+        assert code == 2 and out == ""
+
 
 class TestPhaseScan:
     def write_spec(self, tmp_path, weights, a, b):
@@ -249,14 +286,19 @@ class TestPhaseScan:
         assert code == 2
 
     def test_non_finite_result_exit_code(self, capsys, tmp_path):
-        # A NaN weight propagates into the phases; the report must not
-        # carry it out as a non-standard NaN token.
+        # A NaN weight must fail validation rather than reach the report
+        # as a non-standard NaN token.
         spec = tmp_path / "nan.json"
         spec.write_text(json.dumps({"weights": [math.nan, 0.5], "a": [0.6, 0.8], "b": [0.8, 0.6]}))
         code, out, err = run(capsys, "phase-scan", str(spec))
         assert code == 2
         assert out == ""
         assert "validation error" in err
+
+    def test_rejects_zero_points(self, capsys, tmp_path):
+        spec = self.write_spec(tmp_path, [0.5, 0.5], [0.8, 0.6], [0.6, 0.8])
+        code, out, _ = run(capsys, "phase-scan", spec, "--points", "0")
+        assert code == 2 and out == ""
 
     def test_malformed_spec_exit_code(self, capsys, tmp_path):
         path = tmp_path / "ens.json"
@@ -285,6 +327,11 @@ class TestCasestudyCommand:
         code, out, _ = run(capsys, "casestudy")
         assert code == 0
         assert len(out.strip().split("\n")) == 152
+
+    def test_rejects_zero_points(self, capsys):
+        # 0 used to fall back to the default of 151.
+        code, out, _ = run(capsys, "casestudy", "--points", "0")
+        assert code == 2 and out == ""
 
 
 class TestMergeDemo:
@@ -315,3 +362,115 @@ class TestDeterminism:
             _, out1, _ = run(capsys, *argv)
             _, out2, _ = run(capsys, *argv)
             assert out1 == out2
+
+    def test_golden_digests(self, capsys, tmp_path, monkeypatch):
+        # sha256 of (stdout, stderr) at fixed small sizes. The JSON digests
+        # were taken before --seed was removed, with config.seed (and
+        # config.tol for merge-demo) deleted from the document.
+        monkeypatch.chdir(tmp_path)
+        Path("rbsc.json").write_text(json.dumps(rbsc(0.3).to_json()))
+        Path("ens3.json").write_text(
+            json.dumps({"weights": [0.3, 0.3, 0.4], "a": [0.6, 0.8, 0.96], "b": [0.8, 0.6, 0.28]})
+        )
+        for argv, digests in GOLDEN.items():
+            code, out, err = run(capsys, *argv)
+            assert code == 0
+            assert (sha256(out), sha256(err)) == digests, argv
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+EMPTY = sha256("")
+GOLDEN = {
+    ("heatmap", "--points", "7"): (
+        "1d22e477f2f62626361c6082164644e3212c891644702ff31b67bee933d463f4", EMPTY),
+    ("casestudy", "--points", "9"): (
+        "f605a70ebee9bf420f1d049bd090bfe6c5f6bfdb8d62a4e7a00620e5a3c529e8",
+        "4fdd5d1cd1c3d1ce43c61bef4c630a8b1e492c20414768a8a5a5fef5e382e0ae"),
+    ("merge-demo",): (
+        "afc6ef36ee9f05051b475cc6d139760df20db785e2f20c60ce8bfc585511b748", EMPTY),
+    ("phase-scan", "ens3.json"): (
+        "d138c58414ec09c302bdb91f38b7dd56c024325260dd30042d0cf5cd82848901", EMPTY),
+    ("factorize", "rbsc.json"): (
+        "5e3fa8130a41b1ab3b25be147523fbac3e1042166c5d79e416b1b970f8ce2804", EMPTY),
+    ("qfactorize", "rbsc.json"): (
+        "1222676fda11c87fa2325a8c5e790e06436e8ccc25abe4a0dba60163ffcf3976", EMPTY),
+}
+
+
+class TestOptions:
+    def test_each_command_has_only_its_options(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {s for a in p._actions for s in a.option_strings if s != "-h" and s != "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert options == {
+            "factorize": {"--out", "--dist", "--tol"},
+            "qfactorize": {"--out", "--dist", "--tol"},
+            "heatmap": {"--out", "--points", "--alpha-points"},
+            "phase-scan": {"--out", "--points"},
+            "casestudy": {"--out", "--points"},
+            "merge-demo": {"--out"},
+        }
+
+    def test_removed_seed_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["merge-demo", "--seed", "1"])
+        assert exc.value.code == 2
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token} in a report")
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["a", "b", "0.5"]),
+)
+_labels = st.one_of(_scalars, st.lists(_scalars, max_size=2), st.dictionaries(st.sampled_from("ab"), _scalars))
+_rows = st.lists(st.one_of(st.lists(_scalars, max_size=3), _scalars), max_size=3)
+_documents = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "inputs": st.one_of(st.lists(_labels, max_size=3), _scalars),
+            "outputs": st.one_of(st.lists(_labels, max_size=3), _scalars),
+            "rows": st.one_of(_rows, _scalars),
+        },
+    ),
+    # Mostly well-formed channels: two or three labels, entries in {0, 1/2, 1}.
+    st.integers(1, 3).flatmap(
+        lambda n: st.fixed_dictionaries({
+            "inputs": st.lists(st.sampled_from(["a", "b", "c", 1, None]), min_size=n, max_size=n),
+            "outputs": st.just(["0", "1"]),
+            "rows": st.lists(
+                st.sampled_from([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [math.nan, 0.5], [0.5, math.inf]]),
+                min_size=n, max_size=n,
+            ),
+        })
+    ),
+    st.lists(_scalars, max_size=2),
+    _scalars,
+)
+
+
+class TestFuzzChannelDocuments:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_documents, command=st.sampled_from(["factorize", "qfactorize"]))
+    def test_exit_codes_and_standard_json(self, capsys, tmp_path, doc, command):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(path))
+        assert code in (0, 2, 3), err
+        if code == 0:
+            report = json.loads(out, parse_constant=_refuse_constant)
+            if command == "qfactorize":
+                assert report["report"]["verified"] is True
+        else:
+            assert out == ""

@@ -44,6 +44,11 @@ class TestEnsembleType:
         with pytest.raises(ValueError):
             PhasedQubitEnsemble(np.array([1.0]), np.array([-0.6]), np.array([0.8]), np.zeros(1))
 
+    def test_rejects_nan_magnitude(self):
+        # NaN failed the sign and the a^2 + b^2 comparisons.
+        with pytest.raises(ValueError, match="finite"):
+            PhasedQubitEnsemble(np.array([1.0]), np.array([math.nan]), np.array([0.8]), np.zeros(1))
+
     def test_validates_weights(self):
         with pytest.raises(ValueError):
             PhasedQubitEnsemble(np.array([0.7, 0.7]), np.array([1.0, 1.0]), np.zeros(2), np.zeros(2))

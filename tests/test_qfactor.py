@@ -8,6 +8,7 @@ from chanfactor.casestudy import build_sic_family, family_channel, family_qfacto
 from chanfactor.channel import (
     AlphabetMismatch,
     Channel,
+    InputDistribution,
     Partition,
     causal_partition,
     classical_fidelity,
@@ -16,6 +17,7 @@ from chanfactor.channel import (
     shannon_entropy,
 )
 from chanfactor.linalg import psd_sqrt
+from chanfactor.phase import PhasedQubitEnsemble
 from chanfactor.qfactor import (
     POVM,
     DensityMatrix,
@@ -53,6 +55,8 @@ from helpers import (
 
 KET0 = PureState(np.array([1.0, 0.0]))
 KET1 = PureState(np.array([0.0, 1.0]))
+KET0_DM = DensityMatrix.from_pure(KET0)
+KET1_DM = DensityMatrix.from_pure(KET1)
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 
 
@@ -94,6 +98,39 @@ class TestStateTypes:
     def test_povm_validate_catches_incomplete(self):
         povm = POVM((np.diag([1.0, 0.0]).astype(complex),), ("a",))
         assert not povm.validate()
+
+    def test_pure_state_rejects_nan(self):
+        # NaN failed the norm comparison, so the state constructed.
+        with pytest.raises(ValueError, match="finite"):
+            PureState(np.array([math.nan, 1.0]))
+
+    def test_density_matrix_rejects_nan(self):
+        # NaN failed every Hermitian, trace and eigenvalue comparison.
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+    def test_ensemble_rejects_nan_weight(self):
+        # A NaN weight failed both the sign and the sum comparison.
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble(np.array([math.nan, 1.0]), (KET0_DM, KET1_DM))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda w: InputDistribution(w),
+            lambda w: Ensemble(w, (KET0_DM, KET1_DM)),
+            lambda w: PhasedQubitEnsemble.from_magnitudes(w, [0.6, 0.8], [0.8, 0.6]),
+        ],
+        ids=["InputDistribution", "Ensemble", "PhasedQubitEnsemble"],
+    )
+    @pytest.mark.parametrize(
+        "weights",
+        [[math.inf, 0.5], [1.5, -0.5], [0.5, 0.6], [[0.5, 0.5]], []],
+        ids=["inf", "negative", "sum", "2-D", "empty"],
+    )
+    def test_weight_vectors_share_one_validator(self, build, weights):
+        with pytest.raises(ValueError):
+            build(np.array(weights))
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
