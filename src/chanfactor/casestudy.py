@@ -24,7 +24,9 @@ from .qfactor import (
     DensityMatrix,
     PureState,
     QFactorization,
-    von_neumann_entropy,
+    _density_spectrum,
+    _entropy_bits,
+    von_neumann_entropy,  # not called here; bench/spans.py traces casestudy.von_neumann_entropy
 )
 
 __all__ = [
@@ -104,11 +106,19 @@ def rho_mm() -> DensityMatrix:
 def rho_A(t: float) -> DensityMatrix:
     """State (1-t) * I/3 + t |0><0| on the line through the maximally mixed
     state and |0><0|; positive exactly for t in [-0.5, 1]."""
-    if not T_MIN <= t <= T_MAX:
-        raise TOutOfRange(f"t={t} outside [{T_MIN}, {T_MAX}]")
-    m = (1.0 - t) * np.eye(3) / 3
-    m[0, 0] += t
-    return DensityMatrix(m)
+    return DensityMatrix(_line_matrices(t))
+
+
+def _line_matrices(t) -> np.ndarray:
+    """Matrices of ``rho_A`` at a scalar or an array of t, shape (..., 3, 3);
+    TOutOfRange names the first t outside [-0.5, 1]."""
+    t = np.asarray(t, dtype=float)
+    outside = ~((T_MIN <= t) & (t <= T_MAX))  # NaN is outside too
+    if outside.any():
+        raise TOutOfRange(f"t={t[outside][0]} outside [{T_MIN}, {T_MAX}]")
+    m = np.multiply.outer(1.0 - t, np.eye(3)) / 3
+    m[..., 0, 0] += t
+    return m
 
 
 def family_channel(f: SicFamily, t: float) -> Channel:
@@ -172,23 +182,25 @@ class EntropyPurityCurve:
 
 def entropy_purity_curve(f: SicFamily, n_points: int = 151) -> EntropyPurityCurve:
     """Sample t uniformly over [-0.5, 1] (endpoints included) and tabulate
-    entropy and purity of the equal-weight average state."""
+    entropy and purity of the equal-weight average state.
+
+    Works on stacks: the rho_A(t) and rho_t matrices of all t are built in
+    one array step each and validated and diagonalized in one batched call
+    each, with the tolerances of ``DensityMatrix``; every value equals the
+    per-point ``von_neumann_entropy`` bit for bit. ``purity`` still runs per
+    point, because a batched contraction may differ in the last ulp.
+    """
     if n_points < 3:
         raise ValueError("need at least 3 sample points")
-    points = []
-    for t in np.linspace(T_MIN, T_MAX, n_points):
-        t = float(t)
-        rho_at = rho_A(t)
-        rho_t = DensityMatrix(0.5 * rho_at.matrix + 0.5 * f.rho_b.matrix)
-        points.append(
-            CurvePoint(
-                t,
-                von_neumann_entropy(rho_t),
-                purity(rho_t.matrix),
-                von_neumann_entropy(rho_at),
-            )
-        )
-    return EntropyPurityCurve(tuple(points))
+    ts = np.linspace(T_MIN, T_MAX, n_points)
+    rho_at = _line_matrices(ts).astype(complex)
+    rho_t = 0.5 * rho_at + 0.5 * f.rho_b.matrix
+    s_at = _entropy_bits(_density_spectrum(rho_at)) + 0.0  # + 0.0 normalizes -0.0
+    s_t = _entropy_bits(_density_spectrum(rho_t)) + 0.0
+    return EntropyPurityCurve(tuple(
+        CurvePoint(t, s, purity(m), s_a)
+        for t, s, m, s_a in zip(ts.tolist(), s_t.tolist(), rho_t, s_at.tolist())
+    ))
 
 
 def _traceless_hermitian_basis() -> list:

@@ -161,6 +161,10 @@ def cmd_phase_scan(args) -> int:
     ens = phase.PhasedQubitEnsemble.from_magnitudes(
         *(_number_array(data[key], key) for key in ("weights", "a", "b"))
     )
+    if ens.size > 3 and args.points is not None:
+        raise ValueError(
+            f"--points sets the phase grid, which runs for at most 3 states; this ensemble has {ens.size}"
+        )
     phases, entropy = phase.optimal_phases(ens)
     if ens.size <= 3:
         resolution = (360 if ens.size <= 2 else 72) if args.points is None else args.points
@@ -292,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("phase-scan", cmd_phase_scan, "verify equal phases minimize entropy")
     p.add_argument("ensemble", help="JSON file with weights, a, b arrays")
-    p.add_argument("--points", type=int, help="phase grid points (default 360; 72 for 3 states)")
+    p.add_argument("--points", type=int, help="phase grid points (default 360; 72 for 3 states; "
+                   "refused for more than 3 states)")
 
     p = command("casestudy", cmd_casestudy, "entropy/purity curve of the qutrit family")
     p.add_argument("--points", type=int, default=151, help="curve samples")

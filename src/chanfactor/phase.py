@@ -94,19 +94,24 @@ class PhasedQubitEnsemble:
 
 
 def _delta_of_phases(e: PhasedQubitEnsemble, phases: np.ndarray) -> np.ndarray:
-    """Determinant of the average state for one or many phase rows.
+    """Determinant of the average state for one phase row or a stack of them.
 
     ``phases`` has shape (..., N); the result has shape (...). Uses the
-    symmetrized cosine form so the value is real by construction.
+    symmetrized cosine form so the value is real by construction. Each pair
+    j < k adds w_j w_k cross_jk - 2 c_j c_k cos(phi_k - phi_j) to every row
+    at once, computed in place in one scratch array of the result's shape.
     """
     w, a, b = e.weights, e.a, e.b
     coeff = w * a * b
-    out = np.zeros(np.shape(phases)[:-1])
+    scratch = np.empty(np.shape(phases)[:-1])
+    out = np.zeros(scratch.shape)
     for j, k in itertools.combinations(range(e.size), 2):
         cross = a[j] ** 2 * b[k] ** 2 + a[k] ** 2 * b[j] ** 2
-        out = out + w[j] * w[k] * cross - 2 * coeff[j] * coeff[k] * np.cos(
-            phases[..., k] - phases[..., j]
-        )
+        np.subtract(phases[..., k], phases[..., j], out=scratch)
+        np.cos(scratch, out=scratch)
+        scratch *= 2 * coeff[j] * coeff[k]
+        out += w[j] * w[k] * cross
+        out -= scratch
     return out
 
 
@@ -190,13 +195,16 @@ def sign_pattern_deltas(e: PhasedQubitEnsemble) -> np.ndarray:
 
     Entry m corresponds to the pattern whose bit j-1 (for j >= 1) selects
     phi_j = pi; phi_0 is always 0. Entry 0 is the all-equal configuration.
+    Works on the stack of all 2^(N-1) patterns: column j is set from bit
+    j-1 of the pattern index in one array step, and one ``_delta_of_phases``
+    call evaluates them all. The stack is stored column by column, so each
+    pair reads two contiguous columns.
     """
     n = e.size
-    patterns = np.zeros((2 ** (n - 1), n))
-    for m in range(2 ** (n - 1)):
-        for j in range(1, n):
-            if (m >> (j - 1)) & 1:
-                patterns[m, j] = np.pi
+    index = np.arange(2 ** (n - 1))
+    patterns = np.zeros((index.size, n), order="F")
+    for j in range(1, n):
+        patterns[:, j] = np.pi * ((index >> (j - 1)) & 1)
     return _delta_of_phases(e, patterns)
 
 

@@ -71,6 +71,54 @@ class IndexOutOfRange(IndexError):
     """Ensemble index is invalid for the requested operation."""
 
 
+def _check_unit_norm(v: np.ndarray) -> None:
+    """ValueError unless every vector along the last axis of ``v`` has a
+    finite norm within STATE_TOL of 1; the message names the first that fails."""
+    norm = np.linalg.norm(v, axis=-1)
+    off = ~(np.abs(norm - 1.0) <= STATE_TOL)  # a NaN or infinite amplitude is off too
+    if off.any():
+        raise ValueError(f"state norm {norm[off][0]!r} must be finite and within {STATE_TOL:.0e} of 1")
+
+
+def _density_spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending ``eigvalsh`` spectrum of a density matrix or a stack of them.
+
+    ``m`` is complex with shape (d, d) or (..., d, d). Every matrix must be
+    finite and Hermitian within STATE_TOL, have trace 1 within SUM_TOL and no
+    eigenvalue below -EIG_CLAMP; the checks run in that order over the whole
+    stack, and the first matrix that fails one raises the ValueError
+    ``DensityMatrix`` gives for it alone. The spectrum is that of the
+    symmetrized stack, which equals the stack when it is exactly Hermitian.
+    """
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    adjoint = m.conj().swapaxes(-1, -2)
+    # A NaN or infinite entry makes m - m^dagger NaN or infinite there.
+    if not np.abs(m - adjoint).max() <= STATE_TOL:
+        raise ValueError(f"matrix must be finite and Hermitian within {STATE_TOL:.0e}")
+    tr = m.trace(0, -2, -1).real
+    off = ~(np.abs(tr - 1.0) <= SUM_TOL)
+    if off.any():
+        raise ValueError(f"trace {tr[off][0]!r} deviates from 1 beyond {SUM_TOL:.0e}")
+    w = np.linalg.eigvalsh((m + adjoint) / 2)
+    if not w.min() >= -EIG_CLAMP:
+        raise ValueError(f"matrix has an eigenvalue below -{EIG_CLAMP:.0e}")
+    return w
+
+
+def _entropy_bits(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w over the last axis, entries <= 0 counting as 0.
+
+    numpy adds fewer than 8 terms one after another, so for rows of fewer
+    than 8 entries the zero terms change nothing and each result is
+    bit-identical to the sum over the positive entries alone (as
+    ``von_neumann_entropy`` takes it). From 8 entries on, pairwise summation
+    may group the terms differently.
+    """
+    pos = w > 0
+    return -np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0).sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm complex amplitude vector."""
@@ -81,9 +129,7 @@ class PureState:
         v = np.asarray(self.amplitudes, dtype=complex)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("amplitudes must form a nonempty vector")
-        norm = np.linalg.norm(v)
-        if not abs(norm - 1.0) <= STATE_TOL:  # a NaN or infinite amplitude fails too
-            raise ValueError(f"state norm {norm!r} must be finite and within {STATE_TOL:.0e} of 1")
+        _check_unit_norm(v)
         object.__setattr__(self, "amplitudes", _freeze(v))
 
     @classmethod
@@ -117,16 +163,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        # A NaN or infinite entry makes m - m^dagger NaN or infinite there.
-        if not np.abs(m - m.conj().T).max() <= STATE_TOL:
-            raise ValueError(f"matrix must be finite and Hermitian within {STATE_TOL:.0e}")
-        tr = m.trace().real
-        if abs(tr - 1.0) > SUM_TOL:
-            raise ValueError(f"trace {tr!r} deviates from 1 beyond {SUM_TOL:.0e}")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -EIG_CLAMP:
-            raise ValueError(f"matrix has an eigenvalue below -{EIG_CLAMP:.0e}")
+        _density_spectrum(m)
         if self.pure is not None and np.abs(m - self.pure.projector()).max() > ROW_TOL:
             raise ValueError("pure witness does not match the matrix")
         object.__setattr__(self, "matrix", _freeze(m))
@@ -300,6 +339,10 @@ def g0_construct(c: Channel, tol: float = ROW_TOL) -> QFactorization:
     signals = []
     for rep in part.representatives:
         amps = np.sqrt(np.clip(c.matrix[rep], 0.0, None))
+        norm = np.linalg.norm(amps, axis=-1)
+        if not abs(norm - 1.0) <= STATE_TOL:
+            # A row sum within SUM_TOL of 1 can put the root's norm beyond STATE_TOL.
+            amps = amps / norm
         signals.append(DensityMatrix.from_pure(PureState(amps)))
     return QFactorization(
         c.inputs, part, tuple(signals), POVM.computational(c.outputs)
@@ -359,29 +402,35 @@ def average_state(e: Ensemble) -> DensityMatrix:
     return DensityMatrix((total + total.conj().T) / 2)
 
 
-def _rbsc_signal_pair(p: float) -> tuple:
-    """Signal states of the two-class binary-symmetric reduction at noise p."""
-    s0 = PureState(np.array([np.sqrt(1 - p), np.sqrt(p)]))
-    s1 = PureState(np.array([np.sqrt(p), np.sqrt(1 - p)]))
-    return DensityMatrix.from_pure(s0), DensityMatrix.from_pure(s1)
-
-
 def advantage_grid(p_values: np.ndarray, alpha_values: np.ndarray) -> np.ndarray:
     """H(Z) - S(rho) for the binary-symmetric family over (p, alpha).
 
     Z is the fixed two-class intermediate with Prob(Z=0) = alpha; the
-    quantum side mixes the square-root-amplitude signal pair with the same
-    weights.
+    quantum side mixes the square-root-amplitude signal pair
+    (sqrt(1-p), sqrt(p)), (sqrt(p), sqrt(1-p)) with the same weights.
+
+    Works on stacks: the signal pairs of all p, the weight pairs of all
+    alpha and the (P, A, 2, 2) mixtures are each built in one array step,
+    with the arithmetic of ``PureState``, ``average_state`` and
+    ``DensityMatrix``, and one validated eigensolve covers the whole grid.
+    Every cell equals ``H(w) - von_neumann_entropy(average_state(...))`` of
+    the per-state path bit for bit.
     """
-    grid = np.empty((p_values.size, alpha_values.size))
-    for i, p in enumerate(p_values):
-        states = _rbsc_signal_pair(float(p))
-        for j, alpha in enumerate(alpha_values):
-            w = np.array([alpha, 1.0 - alpha])
-            h_z = float(-(w[w > 0] * np.log2(w[w > 0])).sum())
-            s = von_neumann_entropy(average_state(Ensemble(w, states)))
-            grid[i, j] = h_z - s
-    return grid
+    p = np.asarray(p_values, dtype=float)
+    alpha = np.asarray(alpha_values, dtype=float)
+    amps = np.sqrt(np.stack([1 - p, p], axis=-1)).astype(complex)
+    _check_unit_norm(amps)
+    projectors = [a[:, :, None] * a.conj()[:, None, :] for a in (amps, amps[:, ::-1])]
+    _density_spectrum(np.stack(projectors))
+    weights = np.stack([alpha, 1.0 - alpha], axis=-1)
+    for w in weights:
+        _weight_vector(w, "weights")
+    total = np.zeros((p.size, alpha.size, 2, 2), dtype=complex)
+    for w, proj in zip(weights.T, projectors):
+        total += w[None, :, None, None] * proj[:, None]
+    rho = (total + total.conj().swapaxes(-1, -2)) / 2
+    s_rho = _entropy_bits(_density_spectrum(rho)) + 0.0  # + 0.0 normalizes -0.0
+    return _entropy_bits(weights)[None, :] - s_rho
 
 
 def _as_density(s) -> DensityMatrix:

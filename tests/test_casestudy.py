@@ -6,6 +6,7 @@ import pytest
 from chanfactor.casestudy import (
     T_MAX,
     T_MIN,
+    CurvePoint,
     TOutOfRange,
     build_sic_family,
     entropy_purity_curve,
@@ -16,7 +17,7 @@ from chanfactor.casestudy import (
     rho_mm,
 )
 from chanfactor.linalg import purity
-from chanfactor.qfactor import verify_qfactorization
+from chanfactor.qfactor import DensityMatrix, verify_qfactorization, von_neumann_entropy
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +160,17 @@ class TestEntropyPurityCurve:
         assert abs(by_t[-0.5].entropy_rho_At - 1.0) <= 1e-12
         assert abs(by_t[0.0].entropy_rho_At - math.log2(3)) <= 1e-12
         assert abs(by_t[1.0].entropy_rho_At - 0.0) <= 1e-12
+
+    def test_equals_per_point_path(self, family):
+        curve = entropy_purity_curve(family, 151)
+        expected = []
+        for t in np.linspace(T_MIN, T_MAX, 151):
+            rho_at = rho_A(float(t))
+            rho_t = DensityMatrix(0.5 * rho_at.matrix + 0.5 * family.rho_b.matrix)
+            expected.append(
+                CurvePoint(float(t), von_neumann_entropy(rho_t), purity(rho_t.matrix), von_neumann_entropy(rho_at))
+            )
+        assert curve.points == tuple(expected)
 
     def test_requires_three_points(self, family):
         with pytest.raises(ValueError):

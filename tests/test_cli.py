@@ -185,6 +185,18 @@ class TestQFactorize:
             saturated[tol] = pair["saturated"]
         assert saturated == {"1e-16": False, "1e-9": True}
 
+    def test_round_off_row_sum_verifies(self, capsys, tmp_path):
+        # The first row's sum is inside SUM_TOL, but the norm of its square
+        # roots was beyond STATE_TOL, so qfactorize exited 2 where factorize
+        # exits 0.
+        path = tmp_path / "sum.json"
+        path.write_text(
+            json.dumps({"inputs": ["a", "b"], "outputs": ["0", "1"], "rows": [[0.5000000006, 0.5], [0.2, 0.8]]})
+        )
+        code, out, err = run(capsys, "qfactorize", str(path))
+        assert code == 0, err
+        assert json.loads(out)["report"]["verified"] is True
+
     def test_output_file(self, capsys, rbsc_file, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "qfactorize", rbsc_file, "--out", str(out_path))
@@ -300,6 +312,18 @@ class TestPhaseScan:
         code, out, _ = run(capsys, "phase-scan", spec, "--points", "0")
         assert code == 2 and out == ""
 
+    def test_rejects_points_beyond_three_states(self, capsys, tmp_path):
+        # The sign-pattern scan has no grid, so --points used to be ignored.
+        rng = np.random.default_rng(331)
+        a = np.sqrt(rng.uniform(0.1, 0.9, size=4))
+        spec = self.write_spec(tmp_path, [0.25] * 4, a.tolist(), np.sqrt(1 - a**2).tolist())
+        for points in ("0", "72"):
+            code, out, err = run(capsys, "phase-scan", spec, "--points", points)
+            assert code == 2 and out == ""
+            assert "validation error" in err and "--points" in err
+        code, _, _ = run(capsys, "phase-scan", spec)
+        assert code == 0
+
     def test_malformed_spec_exit_code(self, capsys, tmp_path):
         path = tmp_path / "ens.json"
         path.write_text(json.dumps({"weights": [1.0]}))
@@ -366,11 +390,20 @@ class TestDeterminism:
     def test_golden_digests(self, capsys, tmp_path, monkeypatch):
         # sha256 of (stdout, stderr) at fixed small sizes. The JSON digests
         # were taken before --seed was removed, with config.seed (and
-        # config.tol for merge-demo) deleted from the document.
+        # config.tol for merge-demo) deleted from the document. The 6-state
+        # phase-scan and the 5x4 heatmap digests were taken from the per-state
+        # loops, before the sweeps were batched.
         monkeypatch.chdir(tmp_path)
         Path("rbsc.json").write_text(json.dumps(rbsc(0.3).to_json()))
         Path("ens3.json").write_text(
             json.dumps({"weights": [0.3, 0.3, 0.4], "a": [0.6, 0.8, 0.96], "b": [0.8, 0.6, 0.28]})
+        )
+        Path("ens6.json").write_text(
+            json.dumps({
+                "weights": [0.1, 0.15, 0.2, 0.25, 0.2, 0.1],
+                "a": [0.6, 0.8, 0.96, 0.28, 5 / 13, 8 / 17],
+                "b": [0.8, 0.6, 0.28, 0.96, 12 / 13, 15 / 17],
+            })
         )
         for argv, digests in GOLDEN.items():
             code, out, err = run(capsys, *argv)
@@ -386,6 +419,8 @@ EMPTY = sha256("")
 GOLDEN = {
     ("heatmap", "--points", "7"): (
         "1d22e477f2f62626361c6082164644e3212c891644702ff31b67bee933d463f4", EMPTY),
+    ("heatmap", "--points", "5", "--alpha-points", "4"): (
+        "45a35e12f0fe09bedd4a191fecd950be7a00cf7c320c29c8a0dd5f45509dc4ec", EMPTY),
     ("casestudy", "--points", "9"): (
         "f605a70ebee9bf420f1d049bd090bfe6c5f6bfdb8d62a4e7a00620e5a3c529e8",
         "4fdd5d1cd1c3d1ce43c61bef4c630a8b1e492c20414768a8a5a5fef5e382e0ae"),
@@ -393,6 +428,8 @@ GOLDEN = {
         "afc6ef36ee9f05051b475cc6d139760df20db785e2f20c60ce8bfc585511b748", EMPTY),
     ("phase-scan", "ens3.json"): (
         "d138c58414ec09c302bdb91f38b7dd56c024325260dd30042d0cf5cd82848901", EMPTY),
+    ("phase-scan", "ens6.json"): (
+        "e628e14d9b53acbf9a15fdbf7fad979dcd1d61db34c45b41df45d36793252ffd", EMPTY),
     ("factorize", "rbsc.json"): (
         "5e3fa8130a41b1ab3b25be147523fbac3e1042166c5d79e416b1b970f8ce2804", EMPTY),
     ("qfactorize", "rbsc.json"): (

@@ -212,6 +212,17 @@ class TestSignPatterns:
         assert abs(deltas[0b101] - delta(e.with_phases(phases))) <= 1e-14
 
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_every_pattern_equals_delta_of_its_phases(self, n):
+        rng = np.random.default_rng(409 + n)
+        e = random_phased_ensemble(rng, n=n, zero_phases=True)
+        deltas = sign_pattern_deltas(e)
+        assert deltas.shape == (2 ** (n - 1),)
+        for m in range(2 ** (n - 1)):
+            pattern = [0.0] + [np.pi if (m >> (j - 1)) & 1 else 0.0 for j in range(1, n)]
+            assert deltas[m] == delta(e.with_phases(pattern))
+
+
 class TestGridScan:
     def test_single_state(self):
         e = PhasedQubitEnsemble(np.array([1.0]), np.array([0.6]), np.array([0.8]), np.zeros(1))

@@ -26,6 +26,9 @@ from chanfactor.qfactor import (
     IndexOutOfRange,
     PureState,
     QFactorization,
+    _density_spectrum,
+    _entropy_bits,
+    advantage_grid,
     average_state,
     fidelity_bound_check,
     g0_construct,
@@ -177,6 +180,15 @@ class TestG0Construct:
             c = random_channel(rng, duplicate_rows=True)
             q = g0_construct(c)
             assert q.cardinality == causal_partition(c).n_classes
+
+    def test_root_of_round_off_row_sum_is_rescaled(self):
+        # The first row sums to 1 + 6e-10, inside SUM_TOL, but its roots have
+        # norm 1 + 3e-10, beyond STATE_TOL; the second row is left as it is.
+        c = Channel(("a", "b"), ("0", "1"), np.array([[0.5000000006, 0.5], [0.2, 0.8]]))
+        q = g0_construct(c)
+        assert verify_qfactorization(c, q)
+        assert abs(np.linalg.norm(q.signals[0].pure.amplitudes) - 1.0) <= 1e-15
+        assert np.array_equal(q.signals[1].pure.amplitudes, np.sqrt([0.2, 0.8]))
 
 
 class TestVerifyQFactorization:
@@ -339,6 +351,81 @@ class TestAverageState:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Ensemble(np.array([0.5, 0.5]), (maximally_mixed(2), maximally_mixed(3)))
+
+
+class TestStackValidation:
+    GOOD = (maximally_mixed(2).matrix, KET0_DM.matrix, DensityMatrix.from_pure(PLUS).matrix)
+
+    def stack(self, bad):
+        # A (2, 3, 2, 2) stack of valid states with ``bad`` at position (1, 2).
+        m = np.array([self.GOOD, self.GOOD[::-1]], dtype=complex)
+        m[1, 2] = bad
+        return m
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[0.5, 0.3], [0.2, 0.5]],
+            np.diag([0.6, 0.5]),
+            np.diag([1.0 + 1e-6, -1e-6]),
+        ],
+        ids=["nan", "asymmetric", "trace-1.1", "eigenvalue-1e-6"],
+    )
+    def test_one_bad_matrix_raises_its_own_message(self, bad):
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(np.asarray(bad))
+        with pytest.raises(ValueError) as stacked:
+            _density_spectrum(self.stack(bad))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_spectrum_equals_per_matrix_eigvalsh(self):
+        rng = np.random.default_rng(331)
+        m = np.stack([random_density(rng, 3).matrix for _ in range(20)])
+        w = _density_spectrum(m)
+        for mi, wi in zip(m, w):
+            assert np.array_equal(wi, np.linalg.eigvalsh((mi + mi.conj().T) / 2))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7])
+    def test_entropy_reduction_equals_von_neumann_entropy_below_8(self, d):
+        # Rank-deficient spectra put zero terms among the positive ones.
+        rng = np.random.default_rng(337 + d)
+        w = rng.dirichlet(np.ones(d), size=200)
+        w[rng.random(w.shape) < 0.4] = 0.0
+        w[w.sum(axis=1) == 0.0, 0] = 1.0
+        w /= w.sum(axis=1, keepdims=True)
+        m = np.stack([np.diag(row).astype(complex) for row in w])
+        s = _entropy_bits(_density_spectrum(m)) + 0.0
+        assert s.tolist() == [von_neumann_entropy(mi) for mi in m]
+
+
+class TestAdvantageGrid:
+    def test_equals_per_cell_path(self):
+        # 13 x 11 cells; both axes contain 0, 0.5 and 1.
+        ps, alphas = np.linspace(0, 1, 13), np.linspace(0, 1, 11)
+        assert {0.0, 0.5, 1.0} <= set(ps) & set(alphas)
+        expected = np.empty((ps.size, alphas.size))
+        for i, p in enumerate(ps):
+            pair = tuple(
+                DensityMatrix.from_pure(PureState(np.array(v)))
+                for v in ([np.sqrt(1 - p), np.sqrt(p)], [np.sqrt(p), np.sqrt(1 - p)])
+            )
+            for j, alpha in enumerate(alphas):
+                w = np.array([alpha, 1.0 - alpha])
+                h_z = float(-(w[w > 0] * np.log2(w[w > 0])).sum())
+                expected[i, j] = h_z - von_neumann_entropy(average_state(Ensemble(w, pair)))
+        grid = advantage_grid(ps, alphas)
+        assert np.array_equal(grid, expected)
+        assert np.array_equal(np.signbit(grid), np.signbit(expected))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+    def test_rejects_p_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="state norm"):
+            advantage_grid(np.array([0.5, 1.5]), np.linspace(0, 1, 3))
+
+    def test_rejects_alpha_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="weights"):
+            advantage_grid(np.linspace(0, 1, 3), np.array([0.5, -0.25]))
 
 
 class TestQuantumFidelity:
