@@ -6,7 +6,8 @@ heatmap, phase scans, the qutrit case-study curve, and the canned merging
 demonstration. All outputs are deterministic: a fixed configuration yields
 byte-identical bytes on every run.
 
-Exit codes: 0 success, 2 validation failure, 3 parse error.
+Exit codes: 0 success, 2 validation failure (an input too large to
+allocate included), 3 parse error.
 """
 
 from __future__ import annotations
@@ -315,7 +316,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, IndexError) as err:
+    except (ValueError, IndexError, MemoryError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

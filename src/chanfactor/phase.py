@@ -34,6 +34,9 @@ __all__ = [
     "sign_pattern_deltas",
 ]
 
+# 2^(N-1) sign patterns: 24 states make 2^23, 64 MiB per float64 array.
+MAX_SIGN_STATES = 24
+
 
 class DegenerateMagnitudes(ValueError):
     """Some amplitude magnitude is zero, so its phase has no effect."""
@@ -93,25 +96,23 @@ class PhasedQubitEnsemble:
         return Ensemble.from_pure(self.weights, self.states())
 
 
-def _delta_of_phases(e: PhasedQubitEnsemble, phases: np.ndarray) -> np.ndarray:
-    """Determinant of the average state for one phase row or a stack of them.
+def _delta_of_phases(e: PhasedQubitEnsemble, phases) -> np.ndarray:
+    """Determinant of the average state over broadcast phase columns.
 
-    ``phases`` has shape (..., N); the result has shape (...). Uses the
-    symmetrized cosine form so the value is real by construction. Each pair
-    j < k adds w_j w_k cross_jk - 2 c_j c_k cos(phi_k - phi_j) to every row
-    at once, computed in place in one scratch array of the result's shape.
+    ``phases`` holds N arrays (or scalars), column j giving phi_j; the
+    result has the shape the columns broadcast to. Uses the symmetrized
+    cosine form so the value is real by construction. Each pair j < k adds
+    w_j w_k cross_jk to every entry, then subtracts
+    2 c_j c_k cos(phi_k - phi_j), whose cosine is taken on the broadcast
+    shape of columns j and k alone.
     """
     w, a, b = e.weights, e.a, e.b
     coeff = w * a * b
-    scratch = np.empty(np.shape(phases)[:-1])
-    out = np.zeros(scratch.shape)
+    out = np.zeros(np.broadcast_shapes(*map(np.shape, phases)))
     for j, k in itertools.combinations(range(e.size), 2):
         cross = a[j] ** 2 * b[k] ** 2 + a[k] ** 2 * b[j] ** 2
-        np.subtract(phases[..., k], phases[..., j], out=scratch)
-        np.cos(scratch, out=scratch)
-        scratch *= 2 * coeff[j] * coeff[k]
         out += w[j] * w[k] * cross
-        out -= scratch
+        out -= np.cos(phases[k] - phases[j]) * (2 * coeff[j] * coeff[k])
     return out
 
 
@@ -164,28 +165,23 @@ def grid_scan(e: PhasedQubitEnsemble, resolution: int) -> GridScan:
 
     The first phase is fixed at 0 (a global phase shifts all states
     together and leaves the average state's spectrum untouched), so the
-    grid has resolution^(N-1) points. Intended for N <= 3; the cost grows
-    exponentially beyond that.
+    grid has resolution^(N-1) points. Phase j >= 1 is one column along grid
+    dimension j-1, of length 1 on the others, so the deltas and entropies
+    are the only arrays of the grid's size. Intended for N <= 3; the cost
+    grows exponentially beyond that.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     n = e.size
-    if n == 1:
-        d = delta(e)
-        return GridScan(float(entropy_from_delta(d)), float(d), np.zeros(1), resolution)
     axis = np.arange(resolution) * (2 * np.pi / resolution)
-    mesh = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
-    phases = np.zeros(mesh[0].shape + (n,))
-    for i, m in enumerate(mesh):
-        phases[..., i + 1] = m
-    deltas = _delta_of_phases(e, phases)
-    entropies = entropy_from_delta(deltas)
-    flat = int(np.argmin(entropies))
-    idx = np.unravel_index(flat, deltas.shape)
+    columns = [0.0] + [axis.reshape((-1,) + (1,) * (n - 1 - j)) for j in range(1, n)]
+    deltas = _delta_of_phases(e, columns)
+    entropies = np.asarray(entropy_from_delta(deltas))
+    idx = np.unravel_index(int(np.argmin(entropies)), deltas.shape)
     return GridScan(
         float(entropies[idx]),
         float(deltas[idx]),
-        phases[idx].copy(),
+        np.array([0.0] + [axis[i] for i in idx]),
         resolution,
     )
 
@@ -195,17 +191,19 @@ def sign_pattern_deltas(e: PhasedQubitEnsemble) -> np.ndarray:
 
     Entry m corresponds to the pattern whose bit j-1 (for j >= 1) selects
     phi_j = pi; phi_0 is always 0. Entry 0 is the all-equal configuration.
-    Works on the stack of all 2^(N-1) patterns: column j is set from bit
-    j-1 of the pattern index in one array step, and one ``_delta_of_phases``
-    call evaluates them all. The stack is stored column by column, so each
-    pair reads two contiguous columns.
+    The patterns form a (2,) * (N-1) grid whose C order is the pattern
+    index: column j is (0, pi) along axis N-1-j, so each pair's cosine
+    takes at most four values. Refuses more than ``MAX_SIGN_STATES``
+    states before allocating anything.
     """
     n = e.size
-    index = np.arange(2 ** (n - 1))
-    patterns = np.zeros((index.size, n), order="F")
-    for j in range(1, n):
-        patterns[:, j] = np.pi * ((index >> (j - 1)) & 1)
-    return _delta_of_phases(e, patterns)
+    if n > MAX_SIGN_STATES:
+        raise ValueError(
+            f"the sign-pattern scan runs for at most {MAX_SIGN_STATES} states; this ensemble has {n}"
+        )
+    signs = np.array([0.0, np.pi])
+    columns = [0.0] + [signs.reshape((2,) + (1,) * (j - 1)) for j in range(1, n)]
+    return _delta_of_phases(e, columns).reshape(-1)
 
 
 def optimal_phases(e: PhasedQubitEnsemble) -> tuple:

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chanfactor import cli
 from chanfactor.channel import rbsc
 from chanfactor.cli import build_parser, main
+from chanfactor.phase import MAX_SIGN_STATES
 from chanfactor.qfactor import advantage_grid, qfactorization_from_json, verify_qfactorization
 
 
@@ -243,6 +245,17 @@ class TestHeatmap:
         code, _, _ = run(capsys, "heatmap", "--points", "1")
         assert code == 2
 
+    def test_unallocatable_grid_exit_code(self, capsys, monkeypatch):
+        # The grid is faked: a real 200000^2 request would be real memory on
+        # a host that overcommits.
+        def too_large(ps, alphas):
+            raise MemoryError("Unable to allocate 1.16 TiB for an array")
+
+        monkeypatch.setattr(cli, "advantage_grid", too_large)
+        code, out, err = run(capsys, "heatmap", "--points", "200000")
+        assert code == 2 and out == ""
+        assert "validation error: Unable to allocate" in err
+
     def test_rejects_zero_alpha_points(self, capsys):
         # 0 used to fall back to --points.
         code, out, _ = run(capsys, "heatmap", "--points", "2", "--alpha-points", "0")
@@ -324,6 +337,17 @@ class TestPhaseScan:
         code, _, _ = run(capsys, "phase-scan", spec)
         assert code == 0
 
+    @pytest.mark.parametrize("n", [MAX_SIGN_STATES + 1, 40])
+    def test_refuses_sign_scan_beyond_limit(self, capsys, tmp_path, n):
+        # 40 states would need 2^39 patterns (4 TiB); the limit is checked
+        # before anything is allocated.
+        rng = np.random.default_rng(337 + n)
+        a = np.sqrt(rng.uniform(0.1, 0.9, size=n))
+        spec = self.write_spec(tmp_path, [1 / n] * n, a.tolist(), np.sqrt(1 - a**2).tolist())
+        code, out, err = run(capsys, "phase-scan", spec)
+        assert code == 2 and out == ""
+        assert f"at most {MAX_SIGN_STATES} states" in err
+
     def test_malformed_spec_exit_code(self, capsys, tmp_path):
         path = tmp_path / "ens.json"
         path.write_text(json.dumps({"weights": [1.0]}))
@@ -392,7 +416,9 @@ class TestDeterminism:
         # were taken before --seed was removed, with config.seed (and
         # config.tol for merge-demo) deleted from the document. The 6-state
         # phase-scan and the 5x4 heatmap digests were taken from the per-state
-        # loops, before the sweeps were batched.
+        # loops, before the sweeps were batched. The 12-state and the
+        # 720-point phase-scan digests were taken from the dense phase-stack
+        # kernel, before the broadcast-column form.
         monkeypatch.chdir(tmp_path)
         Path("rbsc.json").write_text(json.dumps(rbsc(0.3).to_json()))
         Path("ens3.json").write_text(
@@ -403,6 +429,15 @@ class TestDeterminism:
                 "weights": [0.1, 0.15, 0.2, 0.25, 0.2, 0.1],
                 "a": [0.6, 0.8, 0.96, 0.28, 5 / 13, 8 / 17],
                 "b": [0.8, 0.6, 0.28, 0.96, 12 / 13, 15 / 17],
+            })
+        )
+        Path("ens12.json").write_text(
+            json.dumps({
+                "weights": [k / 78 for k in range(1, 13)],
+                "a": [3 / 5, 4 / 5, 5 / 13, 12 / 13, 8 / 17, 15 / 17,
+                      7 / 25, 24 / 25, 20 / 29, 21 / 29, 9 / 41, 40 / 41],
+                "b": [4 / 5, 3 / 5, 12 / 13, 5 / 13, 15 / 17, 8 / 17,
+                      24 / 25, 7 / 25, 21 / 29, 20 / 29, 40 / 41, 9 / 41],
             })
         )
         for argv, digests in GOLDEN.items():
@@ -430,6 +465,10 @@ GOLDEN = {
         "d138c58414ec09c302bdb91f38b7dd56c024325260dd30042d0cf5cd82848901", EMPTY),
     ("phase-scan", "ens6.json"): (
         "e628e14d9b53acbf9a15fdbf7fad979dcd1d61db34c45b41df45d36793252ffd", EMPTY),
+    ("phase-scan", "ens12.json"): (
+        "2c6f8ccf36dc9137a06387759c7219ce14436fe7ea68386b537ea78b78e28385", EMPTY),
+    ("phase-scan", "ens3.json", "--points", "720"): (
+        "e9c12c223e217db8e5d7366ca4750a4cb3637b21ffbcc63304cb810bfbb8e432", EMPTY),
     ("factorize", "rbsc.json"): (
         "5e3fa8130a41b1ab3b25be147523fbac3e1042166c5d79e416b1b970f8ce2804", EMPTY),
     ("qfactorize", "rbsc.json"): (

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,49 @@ def random_phased_ensemble(rng, n=None, zero_phases=False):
     b = np.sqrt(1.0 - a**2)
     phases = np.zeros(n) if zero_phases else rng.uniform(0, 2 * np.pi, size=n)
     return PhasedQubitEnsemble(w, a, b, phases)
+
+
+def dense_delta_of_phases(e, phases):
+    """Reference kernel on a dense (..., N) phase stack: every pair's cosine
+    is taken over the whole stack, with the library's operation order."""
+    w, a, b = e.weights, e.a, e.b
+    coeff = w * a * b
+    scratch = np.empty(np.shape(phases)[:-1])
+    out = np.zeros(scratch.shape)
+    for j, k in itertools.combinations(range(e.size), 2):
+        cross = a[j] ** 2 * b[k] ** 2 + a[k] ** 2 * b[j] ** 2
+        np.subtract(phases[..., k], phases[..., j], out=scratch)
+        np.cos(scratch, out=scratch)
+        scratch *= 2 * coeff[j] * coeff[k]
+        out += w[j] * w[k] * cross
+        out -= scratch
+    return out
+
+
+def dense_sign_pattern_deltas(e):
+    """Reference sign scan: one stacked row of phases per pattern."""
+    index = np.arange(2 ** (e.size - 1))
+    patterns = np.zeros((index.size, e.size), order="F")
+    for j in range(1, e.size):
+        patterns[:, j] = np.pi * ((index >> (j - 1)) & 1)
+    return dense_delta_of_phases(e, patterns)
+
+
+def dense_grid_scan(e, resolution):
+    """Reference grid scan on a meshgrid phase stack: (min_entropy,
+    min_delta, argmin_phases)."""
+    if e.size == 1:
+        d = float(dense_delta_of_phases(e, e.phases))
+        return float(entropy_from_delta(d)), d, np.zeros(1)
+    axis = np.arange(resolution) * (2 * np.pi / resolution)
+    mesh = np.meshgrid(*([axis] * (e.size - 1)), indexing="ij")
+    phases = np.zeros(mesh[0].shape + (e.size,))
+    for i, m in enumerate(mesh):
+        phases[..., i + 1] = m
+    deltas = dense_delta_of_phases(e, phases)
+    entropies = np.asarray(entropy_from_delta(deltas))
+    idx = np.unravel_index(int(np.argmin(entropies)), deltas.shape)
+    return float(entropies[idx]), float(deltas[idx]), phases[idx].copy()
 
 
 def finite_difference_gradient(e, h=1e-6):
@@ -240,3 +284,33 @@ class TestGridScan:
         rng = np.random.default_rng(281)
         with pytest.raises(ValueError):
             grid_scan(random_phased_ensemble(rng, n=2), 0)
+
+
+class TestDenseReference:
+    """The broadcast-column kernels equal the dense phase-stack reference
+    bit for bit: same per-element operations in the same order."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sign_pattern_deltas(self, n):
+        rng = np.random.default_rng(601 + n)
+        for _ in range(3):
+            e = random_phased_ensemble(rng, n=n)
+            assert np.array_equal(sign_pattern_deltas(e), dense_sign_pattern_deltas(e))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("resolution", [1, 2, 7, 72, 360])
+    def test_grid_scan(self, n, resolution):
+        rng = np.random.default_rng(617 + 10 * n + resolution)
+        e = random_phased_ensemble(rng, n=n)
+        scan = grid_scan(e, resolution)
+        min_entropy, min_delta, argmin_phases = dense_grid_scan(e, resolution)
+        assert scan.min_entropy == min_entropy
+        assert scan.min_delta == min_delta
+        assert np.array_equal(scan.argmin_phases, argmin_phases)
+        assert scan.argmin_phases.shape == (n,)
+
+    def test_delta_off_grid(self):
+        rng = np.random.default_rng(631)
+        for _ in range(300):
+            e = random_phased_ensemble(rng, n=int(rng.integers(1, 10)))
+            assert delta(e) == float(dense_delta_of_phases(e, e.phases))
