@@ -26,6 +26,7 @@ from .qfactor import (
     QFactorization,
     _density_spectrum,
     _entropy_bits,
+    _mixture,
     von_neumann_entropy,  # not called here; bench/spans.py traces casestudy.von_neumann_entropy
 )
 
@@ -184,17 +185,16 @@ def entropy_purity_curve(f: SicFamily, n_points: int = 151) -> EntropyPurityCurv
     """Sample t uniformly over [-0.5, 1] (endpoints included) and tabulate
     entropy and purity of the equal-weight average state.
 
-    Works on stacks: the rho_A(t) and rho_t matrices of all t are built in
-    one array step each and validated and diagonalized in one batched call
-    each, with the tolerances of ``DensityMatrix``; every value equals the
-    per-point ``von_neumann_entropy`` bit for bit. ``purity`` still runs per
-    point, because a batched contraction may differ in the last ulp.
+    Runs the kernels of ``average_state`` and ``DensityMatrix`` once over
+    the stack of all t, so every entropy equals the per-point
+    ``von_neumann_entropy`` bit for bit. ``purity`` still runs per point,
+    because a batched contraction may differ in the last ulp.
     """
     if n_points < 3:
         raise ValueError("need at least 3 sample points")
     ts = np.linspace(T_MIN, T_MAX, n_points)
     rho_at = _line_matrices(ts).astype(complex)
-    rho_t = 0.5 * rho_at + 0.5 * f.rho_b.matrix
+    rho_t = _mixture([0.5, 0.5], [rho_at, f.rho_b.matrix])
     s_at = _entropy_bits(_density_spectrum(rho_at)) + 0.0  # + 0.0 normalizes -0.0
     s_t = _entropy_bits(_density_spectrum(rho_t)) + 0.0
     return EntropyPurityCurve(tuple(

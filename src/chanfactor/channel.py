@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _freeze
+from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _check_tol, _freeze
 
 __all__ = [
     "AlphabetMismatch",
@@ -260,14 +260,14 @@ def causal_partition(c: Channel, tol: float = ROW_TOL) -> Partition:
     the sweep takes K array steps over at most N x Y entries each, and holds
     O(N x Y) memory at a time.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     m = c.matrix
     class_of = np.empty(c.n_inputs, dtype=np.intp)
     pending = np.arange(c.n_inputs)
     k = 0
     while pending.size:
         near = np.abs(m[pending] - m[pending[0]]).max(axis=1) <= tol
+        near[0] = True  # the founder joins its own class whatever the mask says
         class_of[pending[near]] = k
         pending = pending[~near]
         k += 1
@@ -349,6 +349,7 @@ class FactorizationCheck:
 
 def verify_factorization(c: Channel, f: Factorization, tol: float = ROW_TOL) -> FactorizationCheck:
     """Check that every input's row matches its class's reduced row."""
+    _check_tol(tol)
     p = f.partition
     if p.size != c.n_inputs:
         raise AlphabetMismatch(

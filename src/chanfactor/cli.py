@@ -28,7 +28,7 @@ from .channel import (
     pushforward,
     shannon_entropy,
 )
-from .linalg import ENTROPY_TOL, ROW_TOL
+from .linalg import ENTROPY_TOL, ROW_TOL, _check_tol
 from .qfactor import (
     DensityMatrix,
     Ensemble,
@@ -73,6 +73,14 @@ def _load_dist(path: str | None, n: int) -> InputDistribution:
     if data is None:
         raise ParseError(f"{path}: expected a probability array")
     return InputDistribution(_number_array(data, "probabilities"))
+
+
+def _tol(text: str) -> float:
+    """argparse type of --tol: a bad value is a usage error, exit 2, before any work."""
+    try:
+        return _check_tol(float(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _write(args, text: str) -> None:
@@ -289,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = command(name, func, help_text)
         p.add_argument("channel", help="channel JSON file")
         p.add_argument("--dist", help="input distribution JSON file")
-        p.add_argument("--tol", type=float, default=ROW_TOL, help="row-equality tolerance")
+        p.add_argument("--tol", type=_tol, default=ROW_TOL, help="row-equality tolerance")
 
     p = command("heatmap", cmd_heatmap, "quantum advantage grid for the binary-symmetric family")
     p.add_argument("--points", type=int, default=101, help="grid points per axis")

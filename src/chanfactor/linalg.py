@@ -117,6 +117,13 @@ def psd_sqrt(m) -> np.ndarray:
     return (root + root.conj().T) / 2
 
 
+def _check_tol(tol: float) -> float:
+    """``tol`` itself; ValueError naming it unless 0 < tol < inf, so NaN fails too."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    return tol
+
+
 def _freeze(a) -> np.ndarray:
     """Read-only copy of ``a``, so frozen dataclasses stay immutable."""
     a = np.array(a, copy=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import _weight_vector
 from .linalg import STATE_TOL, _freeze
-from .qfactor import Ensemble, PureState
+from .qfactor import Ensemble, PureState, _entropy_bits
 
 __all__ = [
     "DegenerateMagnitudes",
@@ -127,8 +127,8 @@ def entropy_from_delta(d) -> np.ndarray | float:
     d = np.asarray(d, dtype=float)
     root = np.sqrt(np.clip(1.0 - 4.0 * d, 0.0, None))
     lam = np.stack([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
-    terms = np.where(lam > 0, -lam * np.log2(np.where(lam > 0, lam, 1.0)), 0.0)
-    s = terms.sum(axis=0)
+    # A view with the eigenvalue axis last; a copy costs more than the reduction.
+    s = _entropy_bits(np.moveaxis(lam, 0, -1)) + 0.0  # + 0.0 normalizes -0.0
     return float(s) if s.ndim == 0 else s
 
 

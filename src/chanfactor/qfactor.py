@@ -30,7 +30,7 @@ from .channel import (
     pushforward,
 )
 from .linalg import (
-    EIG_CLAMP, ENTROPY_TOL, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _freeze, psd_sqrt,
+    EIG_CLAMP, ENTROPY_TOL, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_tol, _freeze, psd_sqrt,
 )
 
 __all__ = [
@@ -119,6 +119,33 @@ def _entropy_bits(w: np.ndarray) -> np.ndarray:
     return -np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0).sum(axis=-1)
 
 
+def _sqrt_amplitudes(rows: np.ndarray) -> np.ndarray:
+    """Square roots of probability rows, each rescaled to unit norm only when
+    its norm misses 1 by more than STATE_TOL: a row sum within SUM_TOL of 1
+    can put it that far off."""
+    amps = np.sqrt(np.clip(rows, 0.0, None))
+    norm = np.linalg.norm(amps, axis=-1, keepdims=True)
+    return np.where(np.abs(norm - 1.0) <= STATE_TOL, amps, amps / norm)
+
+
+def _projectors(amps: np.ndarray) -> np.ndarray:
+    """|a><a| of every amplitude vector along the last axis of ``amps``."""
+    return amps[..., :, None] * amps.conj()[..., None, :]
+
+
+def _mixture(weights, matrices) -> np.ndarray:
+    """Symmetrized sum_i w_i m_i over the leading axis of both arguments;
+    each w_i broadcasts against the axes of m_i before its matrix axes."""
+    total = sum(np.asarray(w)[..., None, None] * m for w, m in zip(weights, matrices))
+    return (total + total.conj().swapaxes(-1, -2)) / 2
+
+
+def _overlaps(e: "Ensemble") -> np.ndarray:
+    """<psi_i|psi_j> of every pair of the ensemble's pure witnesses."""
+    a = np.stack([p.amplitudes for p in e.pure_states])
+    return a.conj() @ a.T
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm complex amplitude vector."""
@@ -145,7 +172,7 @@ class PureState:
         return self.amplitudes.size
 
     def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+        return _projectors(self.amplitudes)
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
@@ -336,17 +363,9 @@ def g0_construct(c: Channel, tol: float = ROW_TOL) -> QFactorization:
     exactly and uses the minimum possible number of signal states.
     """
     part = causal_partition(c, tol)
-    signals = []
-    for rep in part.representatives:
-        amps = np.sqrt(np.clip(c.matrix[rep], 0.0, None))
-        norm = np.linalg.norm(amps, axis=-1)
-        if not abs(norm - 1.0) <= STATE_TOL:
-            # A row sum within SUM_TOL of 1 can put the root's norm beyond STATE_TOL.
-            amps = amps / norm
-        signals.append(DensityMatrix.from_pure(PureState(amps)))
-    return QFactorization(
-        c.inputs, part, tuple(signals), POVM.computational(c.outputs)
-    )
+    amps = _sqrt_amplitudes(c.matrix[list(part.representatives)])
+    signals = tuple(DensityMatrix.from_pure(PureState(a)) for a in amps)
+    return QFactorization(c.inputs, part, signals, POVM.computational(c.outputs))
 
 
 @dataclass(frozen=True)
@@ -368,6 +387,7 @@ def verify_qfactorization(c: Channel, q: QFactorization, tol: float = ROW_TOL) -
     Violations are reported as (input label, output label, |delta|); the
     result is falsy rather than raising so callers can inspect failures.
     """
+    _check_tol(tol)
     if q.input_labels != c.inputs:
         raise AlphabetMismatch("factorization input labels differ from channel")
     if q.povm.labels != c.outputs:
@@ -396,10 +416,7 @@ def average_state(e: Ensemble) -> DensityMatrix:
     """Weighted mixture sum_i w_i rho_i of the ensemble's states."""
     if e.size == 1:
         return e.states[0]
-    total = np.zeros((e.dim, e.dim), dtype=complex)
-    for w, s in zip(e.weights, e.states):
-        total += w * s.matrix
-    return DensityMatrix((total + total.conj().T) / 2)
+    return DensityMatrix(_mixture(e.weights, [s.matrix for s in e.states]))
 
 
 def advantage_grid(p_values: np.ndarray, alpha_values: np.ndarray) -> np.ndarray:
@@ -409,26 +426,21 @@ def advantage_grid(p_values: np.ndarray, alpha_values: np.ndarray) -> np.ndarray
     quantum side mixes the square-root-amplitude signal pair
     (sqrt(1-p), sqrt(p)), (sqrt(p), sqrt(1-p)) with the same weights.
 
-    Works on stacks: the signal pairs of all p, the weight pairs of all
-    alpha and the (P, A, 2, 2) mixtures are each built in one array step,
-    with the arithmetic of ``PureState``, ``average_state`` and
-    ``DensityMatrix``, and one validated eigensolve covers the whole grid.
-    Every cell equals ``H(w) - von_neumann_entropy(average_state(...))`` of
-    the per-state path bit for bit.
+    Runs the kernels of ``PureState``, ``average_state`` and
+    ``DensityMatrix`` once over the stacks of all p and all alpha, so every
+    cell equals ``H(w) - von_neumann_entropy(average_state(...))`` of the
+    per-state path bit for bit.
     """
     p = np.asarray(p_values, dtype=float)
     alpha = np.asarray(alpha_values, dtype=float)
     amps = np.sqrt(np.stack([1 - p, p], axis=-1)).astype(complex)
     _check_unit_norm(amps)
-    projectors = [a[:, :, None] * a.conj()[:, None, :] for a in (amps, amps[:, ::-1])]
-    _density_spectrum(np.stack(projectors))
+    projectors = _projectors(np.stack([amps, amps[:, ::-1]]))
+    _density_spectrum(projectors)
     weights = np.stack([alpha, 1.0 - alpha], axis=-1)
     for w in weights:
         _weight_vector(w, "weights")
-    total = np.zeros((p.size, alpha.size, 2, 2), dtype=complex)
-    for w, proj in zip(weights.T, projectors):
-        total += w[None, :, None, None] * proj[:, None]
-    rho = (total + total.conj().swapaxes(-1, -2)) / 2
+    rho = _mixture(weights.T, projectors[:, :, None])
     s_rho = _entropy_bits(_density_spectrum(rho)) + 0.0  # + 0.0 normalizes -0.0
     return _entropy_bits(weights)[None, :] - s_rho
 
@@ -496,15 +508,8 @@ def is_opwo(e: Ensemble, tol: float = ROW_TOL) -> bool:
     Two states are connected when |<psi_i|psi_j>| exceeds ``tol``; the
     ensemble qualifies when every vertex of that graph has degree <= 1.
     """
-    psis = e.pure_states
-    n = len(psis)
-    degree = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(psis[i].overlap(psis[j])) > tol:
-                degree[i] += 1
-                degree[j] += 1
-    return max(degree, default=0) <= 1
+    edges = np.triu(np.abs(_overlaps(e)) > tol, 1)
+    return bool((edges.sum(axis=0) + edges.sum(axis=1)).max() <= 1)
 
 
 def gram_matrix(e: Ensemble) -> np.ndarray:
@@ -513,16 +518,10 @@ def gram_matrix(e: Ensemble) -> np.ndarray:
     G is Hermitian, PSD, trace-1, and shares its nonzero spectrum with the
     ensemble's average state.
     """
-    psis = e.pure_states
     rw = np.sqrt(np.clip(e.weights, 0.0, None))
-    n = len(psis)
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        g[i, i] = e.weights[i]
-        for j in range(i + 1, n):
-            val = rw[i] * rw[j] * psis[i].overlap(psis[j])
-            g[i, j] = val
-            g[j, i] = val.conjugate()
+    g = np.triu(rw[:, None] * rw * _overlaps(e), 1)
+    g = g + g.conj().T  # exactly Hermitian, whatever order the product summed in
+    np.fill_diagonal(g, e.weights)
     return g
 
 
@@ -565,6 +564,7 @@ def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) ->
     come from one array step, with the same arithmetic as
     ``classical_fidelity``. Pairs are listed in row-major order of (i, j).
     """
+    _check_tol(tol)
     reps = q.partition.representatives
     rows = np.clip(c.matrix[list(reps)], 0, None)
     pairs = []
@@ -625,7 +625,7 @@ def rebit_sign_search(
     if dist is None:
         dist = InputDistribution.uniform(c.n_inputs)
     weights = pushforward(dist, part).probs
-    roots = np.sqrt(np.clip(c.matrix[list(part.representatives)], 0.0, None))
+    roots = _sqrt_amplitudes(c.matrix[list(part.representatives)])
     baseline = von_neumann_entropy(
         average_state(Ensemble.from_pure(weights, [PureState(r) for r in roots]))
     )

@@ -200,6 +200,12 @@ class TestCausalPartition:
         c = jittered_channel(rng, 5000, 50, 8, 0.5e-9)
         assert list(causal_partition(c).classes) == brute_force_row_classes(c.matrix)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+    def test_rejects_tolerance_outside_open_interval(self, tol):
+        # A NaN tolerance used to make every mask entry False and spin the sweep.
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+            causal_partition(rbsc(0.3), tol)
+
     def test_custom_tol_matches_brute_force(self):
         rng = np.random.default_rng(53)
         for tol in (1e-14, 1e-6, 0.05):
@@ -329,6 +335,12 @@ class TestVerifyFactorization:
     def test_causal_output_verifies(self):
         c = rbsc(0.3)
         assert verify_factorization(c, causal_factorization(c))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # Both used to report this wrong factorization as verified.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_factorization(rbsc(0.3), causal_factorization(rbsc(0.0)), tol)
 
     def test_wrong_merge_reports_violation(self):
         c = rbsc(0.3)

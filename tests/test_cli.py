@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +201,22 @@ class TestQFactorize:
         code, out, err = run(capsys, "qfactorize", str(path))
         assert code == 0, err
         assert json.loads(out)["report"]["verified"] is True
+
+    @pytest.mark.parametrize(
+        "command,tol",
+        [("factorize", t) for t in ("nan", "inf", "-inf", "0", "-0", "-1")] + [("qfactorize", "nan")],
+    )
+    def test_bad_tol_exits_2_before_any_work(self, rbsc_file, command, tol):
+        # --tol nan used to hang the partition sweep, so each call runs in a
+        # child process under a deadline.
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "chanfactor.cli", command, rbsc_file, f"--tol={tol}"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert f"tol must be positive and finite, got {float(tol)!r}" in done.stderr
 
     def test_output_file(self, capsys, rbsc_file, tmp_path):
         out_path = tmp_path / "report.json"

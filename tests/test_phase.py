@@ -144,6 +144,28 @@ class TestEntropyClosedForm:
         assert entropy_from_delta(0.0) == 0.0
         assert entropy_from_delta(0.25) == 1.0
 
+    def test_equals_two_term_reference(self):
+        # The binary-entropy stack entropy_from_delta ran before it shared
+        # qfactor's entropy reduction.
+        def reference(d):
+            d = np.asarray(d, dtype=float)
+            root = np.sqrt(np.clip(1.0 - 4.0 * d, 0.0, None))
+            lam = np.stack([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
+            terms = np.where(lam > 0, -lam * np.log2(np.where(lam > 0, lam, 1.0)), 0.0)
+            s = terms.sum(axis=0)
+            return float(s) if s.ndim == 0 else s
+
+        special = [0.0, 0.25, 5e-324, 0.25 - 1e-17, 1e-300, 0.3]
+        for d in special:
+            s = entropy_from_delta(d)
+            assert type(s) is float and s == reference(d)
+            assert math.copysign(1.0, s) == math.copysign(1.0, reference(d))
+        rng = np.random.default_rng(239)
+        ds = np.concatenate([special, rng.uniform(0.0, 0.25, size=994)])
+        for arr in (ds, ds.reshape(20, 50), ds.reshape(50, 20).T):
+            assert np.array_equal(entropy_from_delta(arr), reference(arr))
+            assert np.array_equal(np.signbit(entropy_from_delta(arr)), np.signbit(reference(arr)))
+
     def test_matches_eigensolver(self):
         rng = np.random.default_rng(227)
         for _ in range(100):

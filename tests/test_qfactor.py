@@ -52,6 +52,7 @@ from helpers import (
     random_channel,
     random_density,
     random_full_support_dist,
+    random_mixed_ensemble,
     random_pure,
     random_pure_ensemble,
 )
@@ -189,6 +190,31 @@ class TestG0Construct:
         assert verify_qfactorization(c, q)
         assert abs(np.linalg.norm(q.signals[0].pure.amplitudes) - 1.0) <= 1e-15
         assert np.array_equal(q.signals[1].pure.amplitudes, np.sqrt([0.2, 0.8]))
+        # The sign search takes the same roots; it used to raise "state norm".
+        assert not rebit_sign_search(c, n_samples=20).beaten
+
+    def test_roots_equal_per_row_reference(self):
+        # The per-row loop g0_construct ran before the stack kernel.
+        def reference(row):
+            amps = np.sqrt(np.clip(row, 0.0, None))
+            norm = np.linalg.norm(amps, axis=-1)
+            return amps if abs(norm - 1.0) <= 1e-10 else amps / norm
+
+        rng = np.random.default_rng(347)
+        rescaled = 0
+        for _ in range(200):
+            m = random_channel(rng).matrix.copy()
+            # Half the rows sum to 1 +- 6e-10: inside SUM_TOL, roots beyond STATE_TOL.
+            rows = np.flatnonzero(rng.random(m.shape[0]) < 0.5)
+            cols = m[rows].argmax(axis=1)
+            m[rows, cols] += np.where(m[rows, cols] > 0.5, -6e-10, rng.choice([-6e-10, 6e-10], rows.size))
+            c = Channel(tuple(range(m.shape[0])), tuple(range(m.shape[1])), m)
+            q = g0_construct(c)
+            for rep, s in zip(q.partition.representatives, q.signals):
+                expected = reference(c.matrix[rep])
+                rescaled += not np.array_equal(expected, np.sqrt(c.matrix[rep]))
+                assert np.array_equal(s.pure.amplitudes, expected.astype(complex))
+        assert rescaled > 100
 
 
 class TestVerifyQFactorization:
@@ -351,6 +377,16 @@ class TestAverageState:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Ensemble(np.array([0.5, 0.5]), (maximally_mixed(2), maximally_mixed(3)))
+
+    def test_equals_loop_reference(self):
+        # The accumulation loop average_state ran before the stack kernel.
+        rng = np.random.default_rng(349)
+        for _ in range(200):
+            ens = random_mixed_ensemble(rng, int(rng.integers(2, 7)), int(rng.integers(1, 5)))
+            total = np.zeros((ens.dim, ens.dim), dtype=complex)
+            for w, s in zip(ens.weights, ens.states):
+                total += w * s.matrix
+            assert np.array_equal(average_state(ens).matrix, (total + total.conj().T) / 2)
 
 
 class TestStackValidation:
@@ -588,6 +624,44 @@ class TestIsOpwo:
         assert is_opwo(ens, tol=1e-3)
 
 
+class TestOverlapKernel:
+    @staticmethod
+    def vdot_reference(ens, tol):
+        """gram_matrix and is_opwo as the per-pair np.vdot loops they were."""
+        psis = ens.pure_states
+        n = len(psis)
+        rw = np.sqrt(np.clip(ens.weights, 0.0, None))
+        g = np.empty((n, n), dtype=complex)
+        degree = [0] * n
+        for i in range(n):
+            g[i, i] = ens.weights[i]
+            for j in range(i + 1, n):
+                ov = psis[i].overlap(psis[j])
+                g[i, j] = rw[i] * rw[j] * ov
+                g[j, i] = g[i, j].conjugate()
+                if abs(ov) > tol:
+                    degree[i] += 1
+                    degree[j] += 1
+        return g, max(degree) <= 1
+
+    def test_gram_and_opwo_match_vdot_loops(self):
+        rng = np.random.default_rng(353)
+        seen = set()
+        for k in range(300):
+            if k % 2:
+                ens = random_pure_ensemble(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+            else:
+                ens, _ = opwo_ensemble(rng, int(rng.integers(0, 3)), int(rng.integers(1, 3)))
+            g = gram_matrix(ens)
+            assert np.array_equal(g, g.conj().T)
+            for tol in (1e-9, 0.3, 0.7):
+                g_ref, opwo = self.vdot_reference(ens, tol)
+                assert np.abs(g - g_ref).max() <= 1e-15
+                assert is_opwo(ens, tol) == opwo
+                seen.add(opwo)
+        assert seen == {True, False}
+
+
 class TestGramMatrix:
     def test_orthonormal_states_give_diagonal(self):
         w = np.array([0.5, 0.3, 0.2])
@@ -734,6 +808,16 @@ class TestOpwoMonotonicity:
                 entropies.append(von_neumann_entropy(average_state(ens)))
             diffs = np.diff(entropies)
             assert np.all(diffs < -1e-12)
+
+
+class TestToleranceArguments:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_checks_reject_non_finite_tolerance(self, tol):
+        c = rbsc(0.3)
+        q = g0_construct(c)
+        for check in (verify_qfactorization, fidelity_bound_check):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                check(c, q, tol)
 
 
 class TestRebitSignSearch:
