@@ -18,7 +18,6 @@ from .channel import (
     verify_factorization,
 )
 from .linalg import NotHermitian, NotPSD, eig_hermitian, psd_sqrt, purity
-from .phase import PhasedQubitEnsemble, delta, entropy_closed_form, optimal_phases, phase_gradient
 from .qfactor import (
     POVM,
     DensityMatrix,
@@ -38,3 +37,13 @@ from .qfactor import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The phase re-exports, loaded on first use so that channel commands
+    do not import ``phase`` (PEP 562)."""
+    if name in ("PhasedQubitEnsemble", "delta", "entropy_closed_form", "optimal_phases", "phase_gradient"):
+        from . import phase
+
+        return getattr(phase, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -256,20 +256,27 @@ def causal_partition(c: Channel, tol: float = ROW_TOL) -> Partition:
     An unassigned input has no earlier representative within ``tol``, so
     joining the first one that is within ``tol`` is exactly its first-match
     choice, and the first input left unassigned is exactly the next one the
-    scan would make a representative. For N inputs, Y outputs and K classes
-    the sweep takes K array steps over at most N x Y entries each, and holds
-    O(N x Y) memory at a time.
+    scan would make a representative. Each step compares whole rows only for
+    the candidates within ``tol`` of the founder in the key column, the one
+    of widest range: a max-norm within ``tol`` implies a key gap within
+    ``tol``, so no member is missed. For N inputs, Y outputs and K classes
+    the sweep takes K steps over at most N key entries plus Y entries per
+    candidate, and holds O(N x Y) memory at a time.
     """
     _check_tol(tol)
     m = c.matrix
     class_of = np.empty(c.n_inputs, dtype=np.intp)
     pending = np.arange(c.n_inputs)
+    key = m[:, np.argmax(np.ptp(m, axis=0))]
     k = 0
     while pending.size:
-        near = np.abs(m[pending] - m[pending[0]]).max(axis=1) <= tol
+        cand = np.flatnonzero(np.abs(key - key[0]) <= tol)
+        near = np.zeros(pending.size, dtype=bool)
+        near[cand] = np.abs(m[pending[cand]] - m[pending[0]]).max(axis=1) <= tol
         near[0] = True  # the founder joins its own class whatever the mask says
         class_of[pending[near]] = k
-        pending = pending[~near]
+        keep = ~near
+        pending, key = pending[keep], key[keep]
         k += 1
     members = np.argsort(class_of, kind="stable")
     bounds = np.cumsum(np.bincount(class_of, minlength=k))[:-1]

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import casestudy, phase, qfactor
+from . import qfactor
 from .channel import (
     Channel,
     InputDistribution,
@@ -164,6 +164,8 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_phase_scan(args) -> int:
+    from . import phase
+
     data = _load_json(args.ensemble)
     if not isinstance(data, dict) or not {"weights", "a", "b"} <= set(data):
         raise ParseError(f"{args.ensemble}: expected keys weights, a, b")
@@ -199,6 +201,8 @@ def cmd_phase_scan(args) -> int:
 
 
 def cmd_casestudy(args) -> int:
+    from . import casestudy
+
     family = casestudy.build_sic_family()
     curve = casestudy.entropy_purity_curve(family, args.points)
     lines = ["t,entropy_rho_t,purity_rho_t,entropy_rho_At"]

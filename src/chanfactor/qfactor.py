@@ -256,6 +256,7 @@ class POVM:
         return self.elements[0].shape[0]
 
     def validate(self, tol: float = ROW_TOL) -> PovmCheck:
+        _check_tol(tol)
         asym = max(np.abs(e - e.conj().T).max() for e in self.elements)
         min_eig = min(
             np.linalg.eigvalsh((e + e.conj().T) / 2).min() for e in self.elements
@@ -508,6 +509,7 @@ def is_opwo(e: Ensemble, tol: float = ROW_TOL) -> bool:
     Two states are connected when |<psi_i|psi_j>| exceeds ``tol``; the
     ensemble qualifies when every vertex of that graph has degree <= 1.
     """
+    _check_tol(tol)
     edges = np.triu(np.abs(_overlaps(e)) > tol, 1)
     return bool((edges.sum(axis=0) + edges.sum(axis=1)).max() <= 1)
 
@@ -562,24 +564,32 @@ def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) ->
 
     The Bhattacharyya coefficients of class i against all later classes
     come from one array step, with the same arithmetic as
-    ``classical_fidelity``. Pairs are listed in row-major order of (i, j).
+    ``classical_fidelity``. Pairs of witnessed signals take the overlap of
+    ``quantum_fidelity``'s witness path directly, other pairs call it.
+    Pairs are listed in row-major order of (i, j).
     """
     _check_tol(tol)
     reps = q.partition.representatives
+    labels = [c.inputs[r] for r in reps]
+    witness = [None if s.pure is None else s.pure.amplitudes for s in q.signals]
     rows = np.clip(c.matrix[list(reps)], 0, None)
     pairs = []
     ok = True
-    for i in range(len(reps)):
+    for i, u in enumerate(witness):
         f_classical = np.sqrt(rows[i] * rows[i + 1 :]).sum(axis=1).tolist()
         for j, fc in enumerate(f_classical, start=i + 1):
-            fq = quantum_fidelity(q.signals[i], q.signals[j])
+            v = witness[j]
+            if u is not None and v is not None:
+                fq = float(abs(complex(np.vdot(u, v))))
+            else:
+                fq = quantum_fidelity(q.signals[i], q.signals[j])
             slack = fc - fq
             if slack < -tol:
                 ok = False
             pairs.append(
                 PairFidelity(
-                    c.inputs[reps[i]],
-                    c.inputs[reps[j]],
+                    labels[i],
+                    labels[j],
                     fq,
                     fc,
                     float(slack),

@@ -195,6 +195,60 @@ class TestCausalPartition:
         c = Channel(tuple(range(len(rows))), tuple(range(4)), rows)
         assert list(causal_partition(c).classes) == brute_force_row_classes(c.matrix)
 
+    @staticmethod
+    def two_valued_columns(rng):
+        # Rows uniform on 4 of 16 outputs: every column holds only 0 and
+        # 0.25, so the key column keeps a quarter or three quarters of the
+        # rows as candidates.
+        support = [rng.choice(16, size=4, replace=False) for _ in range(60)]
+        rows = np.zeros((300, 16))
+        for x, k in enumerate(rng.integers(0, 60, size=300)):
+            rows[x, support[k]] = 0.25
+        return rows, ROW_TOL
+
+    @staticmethod
+    def equal_key_near_elsewhere(rng):
+        # Groups share their value in the widest column 0; inside a group the
+        # rows are offset by 0, 0.5, 1, 2 or 2.5 tol on the zero-sum pair (1, 2).
+        tol = ROW_TOL
+        key = rng.permutation(np.linspace(0.1, 0.6, 8))[rng.integers(0, 8, size=200)]
+        step = rng.choice([0.0, 0.5, 1.0, 2.0, 2.5], size=200) * tol
+        rest = (1.0 - key) / 3
+        return np.column_stack([key, rest + step, rest - step, rest]), tol
+
+    @staticmethod
+    def key_gaps_of_exactly_tol(rng):
+        # With a power-of-two tol and dyadic entries every gap is exact: key
+        # gaps of exactly tol, and the same rows at 0, tol or 2 tol in column 1.
+        tol = 2.0**-30
+        a = rng.integers(0, 4, size=120)
+        b = rng.integers(0, 3, size=120)
+        key = 0.5 + a * tol
+        mid = 0.25 - a * tol + b * tol
+        rows = np.column_stack([key, mid, 1.0 - key - mid])
+        rows[:10, 0] -= 0.25  # a wide key column
+        rows[:10, 2] += 0.25
+        return rows, tol
+
+    @staticmethod
+    def identical_rows(rng):
+        return np.tile(rng.dirichlet(np.ones(5)), (50, 1)), ROW_TOL
+
+    @pytest.mark.parametrize(
+        "build", ["two_valued_columns", "equal_key_near_elsewhere", "key_gaps_of_exactly_tol", "identical_rows"]
+    )
+    def test_matches_brute_force_on_key_column_edge_cases(self, build):
+        # The sweep first keeps the rows within tol of the founder in the
+        # column of widest range; these cases load that prefilter.
+        rng = np.random.default_rng(79)
+        rows, tol = getattr(self, build)(rng)
+        assert np.argmax(np.ptp(rows, axis=0)) == 0  # the key column
+        c = Channel(tuple(range(len(rows))), tuple(range(rows.shape[1])), rows)
+        expected = brute_force_row_classes(c.matrix, tol)
+        assert list(causal_partition(c, tol).classes) == expected
+        if build != "identical_rows":
+            assert 1 < len(expected) < len(rows)
+
     def test_matches_brute_force_on_large_channel(self):
         rng = np.random.default_rng(37)
         c = jittered_channel(rng, 5000, 50, 8, 0.5e-9)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chanfactor import cli
+import chanfactor
+from chanfactor import cli, phase
 from chanfactor.channel import rbsc
 from chanfactor.cli import build_parser, main
 from chanfactor.phase import MAX_SIGN_STATES
@@ -24,6 +25,12 @@ def rbsc_file(tmp_path):
     path = tmp_path / "rbsc.json"
     path.write_text(json.dumps(rbsc(0.3).to_json()))
     return str(path)
+
+
+def child_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -209,11 +216,9 @@ class TestQFactorize:
     def test_bad_tol_exits_2_before_any_work(self, rbsc_file, command, tol):
         # --tol nan used to hang the partition sweep, so each call runs in a
         # child process under a deadline.
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-m", "chanfactor.cli", command, rbsc_file, f"--tol={tol}"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert f"tol must be positive and finite, got {float(tol)!r}" in done.stderr
@@ -415,6 +420,29 @@ class TestMergeDemo:
         assert abs(mixed["entropy"] - (math.log2(3) - 2 / 3)) <= 1e-9
         assert abs(mixed["merge"]["mixed2->pure"] - (math.log2(6) - 5 / 6 * math.log2(5))) <= 1e-9
         assert abs(mixed["merge"]["pure->mixed2"] - 1.0) <= 1e-9
+
+
+class TestImports:
+    def test_channel_commands_skip_phase_and_casestudy(self, rbsc_file):
+        # A fresh interpreter, so modules imported by other tests do not count.
+        code = (
+            "import sys; from chanfactor.cli import main; "
+            f"codes = [main([c, {rbsc_file!r}]) for c in ('factorize', 'qfactorize')]; "
+            "print(codes, sorted(m for m in ('chanfactor.phase', 'chanfactor.casestudy') if m in sys.modules))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
+    @pytest.mark.parametrize(
+        "name", ["PhasedQubitEnsemble", "delta", "entropy_closed_form", "optimal_phases", "phase_gradient"]
+    )
+    def test_phase_re_exports_are_the_phase_objects(self, name):
+        assert getattr(chanfactor, name) is getattr(phase, name)
+
+    def test_unknown_package_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            chanfactor.no_such_name
 
 
 class TestDeterminism:

@@ -731,24 +731,58 @@ class TestFidelityBound:
         assert pair.f_quantum < pair.f_classical - 1e-3
         assert not pair.saturated
 
+    @staticmethod
+    def check_pairs_against_per_pair_reference(c, q, tol=1e-9):
+        """Assert every pair equals its per-pair reference; returns ``ok``."""
+        reps = q.partition.representatives
+        report = fidelity_bound_check(c, q, tol)
+        k = len(reps)
+        assert len(report.pairs) == k * (k - 1) // 2
+        pairs = iter(report.pairs)
+        ok = True
+        for i in range(k):
+            for j in range(i + 1, k):
+                pair = next(pairs)
+                fc = classical_fidelity(c.matrix[reps[i]], c.matrix[reps[j]])
+                fq = quantum_fidelity(q.signals[i], q.signals[j])
+                assert (pair.label_i, pair.label_j) == (c.inputs[reps[i]], c.inputs[reps[j]])
+                assert pair.f_classical == fc
+                assert pair.f_quantum == fq
+                assert pair.slack == fc - fq
+                assert pair.saturated is (abs(fc - fq) <= tol)
+                ok = ok and not fc - fq < -tol
+        assert report.ok is ok
+        return ok
+
     def test_pairs_match_per_pair_fidelities(self):
-        # The array pass must reproduce the per-pair reference bit for bit,
-        # including output counts long enough for pairwise summation.
+        # The array pass and the direct witness overlaps must reproduce the
+        # per-pair reference bit for bit, including output counts long
+        # enough for pairwise summation. Signals in reverse class order no
+        # longer match their rows, so some pairs break the bound.
         rng = np.random.default_rng(127)
+        seen = set()
         for n_outputs in (1, 2, 7, 8, 9, 16, 40, 130):
             c = jittered_channel(rng, 30, 12, n_outputs, 0.0)
             q = g0_construct(c)
-            reps = q.partition.representatives
-            report = fidelity_bound_check(c, q)
-            k = len(reps)
-            assert len(report.pairs) == k * (k - 1) // 2
-            pairs = iter(report.pairs)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    pair = next(pairs)
-                    assert (pair.label_i, pair.label_j) == (c.inputs[reps[i]], c.inputs[reps[j]])
-                    assert pair.f_classical == classical_fidelity(c.matrix[reps[i]], c.matrix[reps[j]])
-                    assert pair.f_quantum == quantum_fidelity(q.signals[i], q.signals[j])
+            assert self.check_pairs_against_per_pair_reference(c, q)
+            reverse = QFactorization(q.input_labels, q.partition, q.signals[::-1], q.povm)
+            seen.add(self.check_pairs_against_per_pair_reference(c, reverse))
+        assert False in seen
+
+    @pytest.mark.parametrize("kept", ["none", "every-other"])
+    def test_pairs_without_witnesses_match_per_pair_fidelities(self, kept):
+        # Signals read back from JSON carry no pure witness; pairs missing
+        # one still go through quantum_fidelity.
+        rng = np.random.default_rng(137)
+        for n_outputs in (1, 2, 7, 9, 16):
+            c = jittered_channel(rng, 30, 12, n_outputs, 0.0)
+            q = g0_construct(c)
+            bare = qfactorization_from_json(json.loads(json.dumps(qfactorization_to_json(q))), c)
+            assert all(s.pure is None for s in bare.signals)
+            if kept == "every-other":
+                signals = tuple(s if k % 2 else b for k, (s, b) in enumerate(zip(q.signals, bare.signals)))
+                bare = QFactorization(q.input_labels, q.partition, signals, q.povm)
+            self.check_pairs_against_per_pair_reference(c, bare)
 
     def test_pure_path_matches_uhlmann_formula(self):
         # Witness-free copies of the same states take the general Uhlmann
@@ -818,6 +852,17 @@ class TestToleranceArguments:
         for check in (verify_qfactorization, fidelity_bound_check):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 check(c, q, tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_opwo_and_povm_checks_reject_tolerance_outside_open_interval(self, tol):
+        # A NaN tol made the chain |0>, |+>, |1> pass the OPWO test, and an
+        # infinite one passed an incomplete measurement.
+        chain = Ensemble.from_pure(np.array([1 / 3] * 3), (KET0, PLUS, KET1))
+        incomplete = POVM((np.diag([1.0, 0.0]), np.diag([0.0, 0.5])), ("a", "b"))
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+            is_opwo(chain, tol)
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+            incomplete.validate(tol)
 
 
 class TestRebitSignSearch:
