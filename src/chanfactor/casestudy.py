@@ -24,6 +24,7 @@ from .qfactor import (
     DensityMatrix,
     PureState,
     QFactorization,
+    _born,
     _density_spectrum,
     _entropy_bits,
     _mixture,
@@ -67,7 +68,6 @@ class SicFamily:
     states: tuple
     povm_m8: POVM
     rho_b: DensityMatrix
-    t_range: tuple = (T_MIN, T_MAX)
 
 
 def build_sic_family() -> SicFamily:
@@ -158,10 +158,6 @@ class EntropyPurityCurve:
     points: tuple
 
     @property
-    def ts(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-    @property
     def entropies(self) -> np.ndarray:
         return np.array([p.entropy_rho_t for p in self.points])
 
@@ -230,9 +226,7 @@ def m8_constraint_rank(f: SicFamily) -> tuple:
     space means the family of compatible states is exactly a line.
     """
     basis = _traceless_hermitian_basis()
-    a = np.array(
-        [[np.trace(e @ bm).real for bm in basis] for e in f.povm_m8.elements]
-    )
+    a = _born(f.povm_m8.elements, np.stack(basis)).T
     rank = int(np.linalg.matrix_rank(a, tol=RANK_TOL))
     _, _, vh = np.linalg.svd(a)
     coeffs = vh[-1]

@@ -177,24 +177,19 @@ def cmd_phase_scan(args) -> int:
             f"--points sets the phase grid, which runs for at most 3 states; this ensemble has {ens.size}"
         )
     phases, entropy = phase.optimal_phases(ens)
-    if ens.size <= 3:
-        resolution = (360 if ens.size <= 2 else 72) if args.points is None else args.points
-        scan = phase.grid_scan(ens, resolution)
-        grid_min, grid_res = scan.min_entropy, scan.resolution
-    else:
-        # Full grids blow up combinatorially; the stationary configurations
-        # (all phases in {0, pi}) carry the candidate minima.
-        deltas = phase.sign_pattern_deltas(ens)
-        grid_min = float(np.min(phase.entropy_from_delta(deltas)))
-        grid_res = 2
+    # Beyond three states full grids blow up combinatorially; resolution 2 is
+    # the stationary configurations (all phases in {0, pi}), which carry the
+    # candidate minima.
+    default = {1: 360, 2: 360, 3: 72}.get(ens.size, 2)
+    scan = phase.grid_scan(ens, default if args.points is None else args.points)
     doc = {
         "config": {"command": args.command, "tol": ENTROPY_TOL, "ensemble": args.ensemble},
         "phases": phases.tolist(),
         "delta": phase.delta(ens.with_phases(phases)),
         "entropy": entropy,
-        "grid_min_entropy": grid_min,
-        "grid_resolution": grid_res,
-        "pass": bool(entropy <= grid_min + ENTROPY_TOL),
+        "grid_min_entropy": scan.min_entropy,
+        "grid_resolution": scan.resolution,
+        "pass": bool(entropy <= scan.min_entropy + ENTROPY_TOL),
     }
     _emit_json(args, doc)
     return EXIT_OK

@@ -34,7 +34,8 @@ __all__ = [
     "sign_pattern_deltas",
 ]
 
-# 2^(N-1) sign patterns: 24 states make 2^23, 64 MiB per float64 array.
+# Even at resolution 2 (the sign patterns) the grid has 2^(N-1) points: 24 states
+# make 2^23, 64 MiB per float64 array.
 MAX_SIGN_STATES = 24
 
 
@@ -160,22 +161,37 @@ class GridScan:
     resolution: int
 
 
-def grid_scan(e: PhasedQubitEnsemble, resolution: int) -> GridScan:
-    """Exhaustive sweep of phases over a uniform grid on [0, 2pi).
+def _phase_grid(e: PhasedQubitEnsemble, resolution: int) -> tuple:
+    """The grid axis and the delta at every point of the phase grid.
 
     The first phase is fixed at 0 (a global phase shifts all states
     together and leaves the average state's spectrum untouched), so the
-    grid has resolution^(N-1) points. Phase j >= 1 is one column along grid
-    dimension j-1, of length 1 on the others, so the deltas and entropies
-    are the only arrays of the grid's size. Intended for N <= 3; the cost
-    grows exponentially beyond that.
+    grid has resolution^(N-1) points on the axis
+    ``arange(resolution) * 2pi / resolution``. Phase j >= 1 is one column
+    along grid axis j-1, of length 1 on the others, so the deltas are the
+    only array of the grid's size. Refuses more than ``MAX_SIGN_STATES``
+    states before allocating anything.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     n = e.size
+    if n > MAX_SIGN_STATES:
+        raise ValueError(
+            f"the phase grid runs for at most {MAX_SIGN_STATES} states; this ensemble has {n}"
+        )
     axis = np.arange(resolution) * (2 * np.pi / resolution)
     columns = [0.0] + [axis.reshape((-1,) + (1,) * (n - 1 - j)) for j in range(1, n)]
-    deltas = _delta_of_phases(e, columns)
+    return axis, _delta_of_phases(e, columns)
+
+
+def grid_scan(e: PhasedQubitEnsemble, resolution: int) -> GridScan:
+    """Exhaustive sweep of phases over a uniform grid on [0, 2pi).
+
+    The grid is ``_phase_grid``'s, of resolution^(N-1) points. Resolution 2
+    is the set of stationary configurations phi_j in {0, pi}; finer grids
+    are intended for N <= 3, since the cost grows exponentially.
+    """
+    axis, deltas = _phase_grid(e, resolution)
     entropies = np.asarray(entropy_from_delta(deltas))
     idx = np.unravel_index(int(np.argmin(entropies)), deltas.shape)
     return GridScan(
@@ -191,19 +207,10 @@ def sign_pattern_deltas(e: PhasedQubitEnsemble) -> np.ndarray:
 
     Entry m corresponds to the pattern whose bit j-1 (for j >= 1) selects
     phi_j = pi; phi_0 is always 0. Entry 0 is the all-equal configuration.
-    The patterns form a (2,) * (N-1) grid whose C order is the pattern
-    index: column j is (0, pi) along axis N-1-j, so each pair's cosine
-    takes at most four values. Refuses more than ``MAX_SIGN_STATES``
-    states before allocating anything.
+    The patterns are the resolution-2 phase grid, whose Fortran order is
+    the pattern index.
     """
-    n = e.size
-    if n > MAX_SIGN_STATES:
-        raise ValueError(
-            f"the sign-pattern scan runs for at most {MAX_SIGN_STATES} states; this ensemble has {n}"
-        )
-    signs = np.array([0.0, np.pi])
-    columns = [0.0] + [signs.reshape((2,) + (1,) * (j - 1)) for j in range(1, n)]
-    return _delta_of_phases(e, columns).reshape(-1)
+    return _phase_grid(e, 2)[1].ravel(order="F")
 
 
 def optimal_phases(e: PhasedQubitEnsemble) -> tuple:

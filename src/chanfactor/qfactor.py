@@ -140,6 +140,13 @@ def _mixture(weights, matrices) -> np.ndarray:
     return (total + total.conj().swapaxes(-1, -2)) / 2
 
 
+def _born(elements: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Real part of tr(E_y m) for every element E_y of the (n, d, d) stack
+    ``elements`` and every matrix m of ``matrices`` (shape (..., d, d)),
+    with the outcome axis last: shape (..., n)."""
+    return np.einsum("yij,...ji->...y", elements, matrices).real
+
+
 def _overlaps(e: "Ensemble") -> np.ndarray:
     """<psi_i|psi_j> of every pair of the ensemble's pure witnesses."""
     a = np.stack([p.amplitudes for p in e.pure_states])
@@ -225,24 +232,25 @@ class PovmCheck:
 class POVM:
     """Measurement given by PSD elements summing to the identity.
 
-    ``labels[k]`` names the outcome of ``elements[k]``. Structural validity
-    is checked by ``validate`` rather than at construction so that
-    diagnostic code can carry candidate measurements around.
+    ``elements`` is one read-only (n, d, d) complex stack and ``labels[k]``
+    names the outcome of ``elements[k]``. Structural validity is checked by
+    ``validate`` rather than at construction so that diagnostic code can
+    carry candidate measurements around.
     """
 
-    elements: tuple
+    elements: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        elems = tuple(_freeze(np.asarray(e, dtype=complex)) for e in self.elements)
+        elems = tuple(self.elements)
         labels = tuple(self.labels)
         if len(elems) != len(labels) or not elems:
             raise ValueError("need one label per element and at least one element")
-        d = elems[0].shape[0]
-        for e in elems:
-            if e.ndim != 2 or e.shape != (d, d):
-                raise DimensionMismatch("POVM elements must be square and same-dim")
-        object.__setattr__(self, "elements", elems)
+        # Shapes first: numpy refuses a ragged stack with a plain ValueError.
+        shapes = {np.shape(e) for e in elems}
+        if len(shapes) != 1 or len(shape := shapes.pop()) != 2 or shape[0] != shape[1]:
+            raise DimensionMismatch("POVM elements must be square and same-dim")
+        object.__setattr__(self, "elements", _freeze(np.asarray(elems, dtype=complex)))
         object.__setattr__(self, "labels", labels)
 
     @classmethod
@@ -253,16 +261,15 @@ class POVM:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     def validate(self, tol: float = ROW_TOL) -> PovmCheck:
         _check_tol(tol)
-        asym = max(np.abs(e - e.conj().T).max() for e in self.elements)
-        min_eig = min(
-            np.linalg.eigvalsh((e + e.conj().T) / 2).min() for e in self.elements
-        )
-        total = sum(self.elements)
-        comp = np.abs(total - np.eye(self.dim)).max()
+        e = self.elements
+        adjoint = e.conj().swapaxes(-1, -2)
+        asym = np.abs(e - adjoint).max()
+        min_eig = np.linalg.eigvalsh((e + adjoint) / 2).min()
+        comp = np.abs(e.sum(axis=0) - np.eye(self.dim)).max()
         ok = asym <= tol and min_eig >= -tol and comp <= tol
         return PovmCheck(bool(ok), float(asym), float(min_eig), float(comp))
 
@@ -270,8 +277,7 @@ class POVM:
         """Born probabilities tr(E_k rho), clipped of round-off negatives."""
         if state.dim != self.dim:
             raise DimensionMismatch(f"state dim {state.dim} vs POVM dim {self.dim}")
-        p = np.array([np.trace(e @ state.matrix).real for e in self.elements])
-        return np.clip(p, 0.0, None)
+        return np.clip(_born(self.elements, state.matrix), 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -395,11 +401,7 @@ def verify_qfactorization(c: Channel, q: QFactorization, tol: float = ROW_TOL) -
         raise AlphabetMismatch("POVM labels differ from channel outputs")
     povm_check = q.povm.validate(tol)
     # probs[k, y] = tr(E_y rho_k), the outcome distribution of class k.
-    probs = np.einsum(
-        "yij,kji->ky",
-        np.stack(q.povm.elements),
-        np.stack([s.matrix for s in q.signals]),
-    ).real
+    probs = _born(q.povm.elements, np.stack([s.matrix for s in q.signals]))
     violations = _class_row_violations(c, q.partition, probs, tol)
     ok = bool(povm_check) and not violations
     return QFactorizationCheck(ok, tol, povm_check, violations)
@@ -564,25 +566,18 @@ def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) ->
 
     The Bhattacharyya coefficients of class i against all later classes
     come from one array step, with the same arithmetic as
-    ``classical_fidelity``. Pairs of witnessed signals take the overlap of
-    ``quantum_fidelity``'s witness path directly, other pairs call it.
-    Pairs are listed in row-major order of (i, j).
+    ``classical_fidelity``. Pairs are listed in row-major order of (i, j).
     """
     _check_tol(tol)
     reps = q.partition.representatives
     labels = [c.inputs[r] for r in reps]
-    witness = [None if s.pure is None else s.pure.amplitudes for s in q.signals]
     rows = np.clip(c.matrix[list(reps)], 0, None)
     pairs = []
     ok = True
-    for i, u in enumerate(witness):
+    for i, si in enumerate(q.signals):
         f_classical = np.sqrt(rows[i] * rows[i + 1 :]).sum(axis=1).tolist()
         for j, fc in enumerate(f_classical, start=i + 1):
-            v = witness[j]
-            if u is not None and v is not None:
-                fq = float(abs(complex(np.vdot(u, v))))
-            else:
-                fq = quantum_fidelity(q.signals[i], q.signals[j])
+            fq = quantum_fidelity(si, q.signals[j])
             slack = fc - fq
             if slack < -tol:
                 ok = False

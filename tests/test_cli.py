@@ -223,6 +223,18 @@ class TestQFactorize:
         assert (done.returncode, done.stdout) == (2, "")
         assert f"tol must be positive and finite, got {float(tol)!r}" in done.stderr
 
+    @pytest.mark.parametrize("tol", ["-inf", "-nan", "-1e-3"])
+    def test_option_like_tol_written_with_a_space_exits_2(self, rbsc_file, tol):
+        # argparse takes an argument for a negative number only when it
+        # matches ^-\d+$|^-\d*\.\d+$; other values starting with "-" read
+        # as an option and leave --tol without its argument.
+        done = subprocess.run(
+            [sys.executable, "-m", "chanfactor.cli", "factorize", rbsc_file, "--tol", tol],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "--tol" in done.stderr
+
     def test_output_file(self, capsys, rbsc_file, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "qfactorize", rbsc_file, "--out", str(out_path))

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from chanfactor import phase
 from chanfactor.phase import (
+    MAX_SIGN_STATES,
     DegenerateMagnitudes,
     PhasedQubitEnsemble,
     delta,
@@ -307,6 +309,18 @@ class TestGridScan:
         with pytest.raises(ValueError):
             grid_scan(random_phased_ensemble(rng, n=2), 0)
 
+    @pytest.mark.parametrize("resolution", [2, 360])
+    def test_refuses_more_than_max_sign_states_before_allocating(self, monkeypatch, resolution):
+        rng = np.random.default_rng(283)
+        e = random_phased_ensemble(rng, n=MAX_SIGN_STATES + 1)
+
+        def no_grid(*_):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(phase, "_delta_of_phases", no_grid)
+        with pytest.raises(ValueError, match=f"at most {MAX_SIGN_STATES} states"):
+            grid_scan(e, resolution)
+
 
 class TestDenseReference:
     """The broadcast-column kernels equal the dense phase-stack reference
@@ -318,6 +332,14 @@ class TestDenseReference:
         for _ in range(3):
             e = random_phased_ensemble(rng, n=n)
             assert np.array_equal(sign_pattern_deltas(e), dense_sign_pattern_deltas(e))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_resolution_2_grid_is_the_sign_scan(self, n):
+        rng = np.random.default_rng(641 + n)
+        for _ in range(3):
+            e = random_phased_ensemble(rng, n=n)
+            reference = np.min(entropy_from_delta(dense_sign_pattern_deltas(e)))
+            assert grid_scan(e, 2).min_entropy == reference
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("resolution", [1, 2, 7, 72, 360])

@@ -435,6 +435,70 @@ class TestStackValidation:
         assert s.tolist() == [von_neumann_entropy(mi) for mi in m]
 
 
+def povm_check_loop(povm, tol=1e-9):
+    """The per-element validation loop the stacked ``validate`` replaced."""
+    asym = max(np.abs(e - e.conj().T).max() for e in povm.elements)
+    min_eig = min(np.linalg.eigvalsh((e + e.conj().T) / 2).min() for e in povm.elements)
+    comp = np.abs(sum(povm.elements) - np.eye(povm.dim)).max()
+    ok = asym <= tol and min_eig >= -tol and comp <= tol
+    return bool(ok), float(asym), float(min_eig), float(comp)
+
+
+class TestPovmStack:
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            (np.eye(2), np.eye(3)),
+            (np.eye(2), [[1.0, 0.0]]),
+            (np.ones((2, 3)), np.ones((2, 3))),
+            (np.ones(2), np.ones(2)),
+        ],
+        ids=["mixed-dims", "ragged-rows", "non-square", "vectors"],
+    )
+    def test_ragged_or_non_square_elements_raise_dimension_mismatch(self, elements):
+        with pytest.raises(DimensionMismatch):
+            POVM(elements, tuple(range(len(elements))))
+
+    def test_elements_are_one_read_only_stack(self):
+        povm = POVM([np.eye(2) / 2, np.eye(2) / 2], ("a", "b"))
+        assert povm.elements.shape == (2, 2, 2) and povm.elements.dtype == complex
+        assert not povm.elements.flags.writeable
+
+    @staticmethod
+    def povms():
+        rng = np.random.default_rng(347)
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return {
+            "m8": build_sic_family().povm_m8,
+            "computational-8": POVM.computational(range(8)),
+            "computational-16": POVM.computational(range(16)),
+            "asymmetric": POVM((np.array([[1.0, 1e-6], [0.0, 0.0]]), np.diag([0.0, 1.0])), ("a", "b")),
+            "negative-eigenvalue": POVM((np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])), ("a", "b")),
+            "incomplete": POVM((np.diag([1.0, 0.0]), np.diag([0.0, 0.5])), ("a", "b")),
+            "random-hermitian": POVM((h + h.conj().T, np.eye(3) - h - h.conj().T), ("a", "b")),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["m8", "computational-8", "computational-16", "asymmetric",
+                 "negative-eigenvalue", "incomplete", "random-hermitian"],
+    )
+    def test_validate_equals_per_element_loop(self, name):
+        povm = self.povms()[name]
+        check = povm.validate()
+        fields = (check.ok, check.max_asymmetry, check.min_eigenvalue, check.completeness_error)
+        assert fields == povm_check_loop(povm)
+        assert check.ok is (name in ("m8", "computational-8", "computational-16"))
+
+    def test_outcome_probabilities_match_trace_loop(self):
+        rng = np.random.default_rng(349)
+        povm = build_sic_family().povm_m8
+        for _ in range(50):
+            rho = random_density(rng, 3).matrix
+            p = povm.outcome_probabilities(DensityMatrix(rho))
+            loop = np.clip([np.trace(e @ rho).real for e in povm.elements], 0.0, None)
+            assert np.abs(p - loop).max() <= 1e-15
+
+
 class TestAdvantageGrid:
     def test_equals_per_cell_path(self):
         # 13 x 11 cells; both axes contain 0, 0.5 and 1.
@@ -755,8 +819,7 @@ class TestFidelityBound:
         return ok
 
     def test_pairs_match_per_pair_fidelities(self):
-        # The array pass and the direct witness overlaps must reproduce the
-        # per-pair reference bit for bit, including output counts long
+        # The array pass must reproduce the per-pair reference bit for bit, including output counts long
         # enough for pairwise summation. Signals in reverse class order no
         # longer match their rows, so some pairs break the bound.
         rng = np.random.default_rng(127)
