@@ -181,10 +181,10 @@ def entropy_purity_curve(f: SicFamily, n_points: int = 151) -> EntropyPurityCurv
     """Sample t uniformly over [-0.5, 1] (endpoints included) and tabulate
     entropy and purity of the equal-weight average state.
 
-    Runs the kernels of ``average_state`` and ``DensityMatrix`` once over
-    the stack of all t, so every entropy equals the per-point
-    ``von_neumann_entropy`` bit for bit. ``purity`` still runs per point,
-    because a batched contraction may differ in the last ulp.
+    Runs the kernels of ``average_state`` and ``DensityMatrix``, and
+    ``purity``, once over the stack of all t, so every entropy equals the
+    per-point ``von_neumann_entropy`` and every purity the per-point
+    ``purity`` bit for bit.
     """
     if n_points < 3:
         raise ValueError("need at least 3 sample points")
@@ -194,8 +194,8 @@ def entropy_purity_curve(f: SicFamily, n_points: int = 151) -> EntropyPurityCurv
     s_at = _entropy_bits(_density_spectrum(rho_at)) + 0.0  # + 0.0 normalizes -0.0
     s_t = _entropy_bits(_density_spectrum(rho_t)) + 0.0
     return EntropyPurityCurve(tuple(
-        CurvePoint(t, s, purity(m), s_a)
-        for t, s, m, s_a in zip(ts.tolist(), s_t.tolist(), rho_t, s_at.tolist())
+        CurvePoint(t, s, p, s_a)
+        for t, s, p, s_a in zip(ts.tolist(), s_t.tolist(), purity(rho_t).tolist(), s_at.tolist())
     ))
 
 

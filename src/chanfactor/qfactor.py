@@ -246,10 +246,14 @@ class POVM:
         labels = tuple(self.labels)
         if len(elems) != len(labels) or not elems:
             raise ValueError("need one label per element and at least one element")
-        # Shapes first: numpy refuses a ragged stack with a plain ValueError.
-        shapes = {np.shape(e) for e in elems}
+        # Shapes first: numpy refuses a ragged stack, or a ragged element, with a plain ValueError.
+        message = "POVM elements must be square and same-dim"
+        try:
+            shapes = {np.shape(e) for e in elems}
+        except ValueError as err:
+            raise DimensionMismatch(message) from err
         if len(shapes) != 1 or len(shape := shapes.pop()) != 2 or shape[0] != shape[1]:
-            raise DimensionMismatch("POVM elements must be square and same-dim")
+            raise DimensionMismatch(message)
         object.__setattr__(self, "elements", _freeze(np.asarray(elems, dtype=complex)))
         object.__setattr__(self, "labels", labels)
 

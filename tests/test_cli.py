@@ -477,7 +477,9 @@ class TestDeterminism:
         # phase-scan and the 5x4 heatmap digests were taken from the per-state
         # loops, before the sweeps were batched. The 12-state and the
         # 720-point phase-scan digests were taken from the dense phase-stack
-        # kernel, before the broadcast-column form.
+        # kernel, before the broadcast-column form. The 18-state phase-scan and
+        # the 151-point casestudy digests were taken before the scan reduced on
+        # the deltas and before purity ran over the whole curve.
         monkeypatch.chdir(tmp_path)
         Path("rbsc.json").write_text(json.dumps(rbsc(0.3).to_json()))
         Path("ens3.json").write_text(
@@ -499,6 +501,14 @@ class TestDeterminism:
                       24 / 25, 7 / 25, 21 / 29, 20 / 29, 40 / 41, 9 / 41],
             })
         )
+        a18 = [0.15 + 0.8 * k / 17 for k in range(18)]
+        Path("ens18.json").write_text(
+            json.dumps({
+                "weights": [k / 171 for k in range(1, 19)],
+                "a": a18,
+                "b": [math.sqrt(1 - x * x) for x in a18],
+            })
+        )
         for argv, digests in GOLDEN.items():
             code, out, err = run(capsys, *argv)
             assert code == 0
@@ -518,6 +528,9 @@ GOLDEN = {
     ("casestudy", "--points", "9"): (
         "f605a70ebee9bf420f1d049bd090bfe6c5f6bfdb8d62a4e7a00620e5a3c529e8",
         "4fdd5d1cd1c3d1ce43c61bef4c630a8b1e492c20414768a8a5a5fef5e382e0ae"),
+    ("casestudy", "--points", "151"): (
+        "c0c1176c72df656dd943393fecb37b3b8b9c42767773f26940f9357126dcce18",
+        "62c65e1ebecc41cd5c83219f7ed084617ffebd04b3c22e84bb13527d52db886c"),
     ("merge-demo",): (
         "afc6ef36ee9f05051b475cc6d139760df20db785e2f20c60ce8bfc585511b748", EMPTY),
     ("phase-scan", "ens3.json"): (
@@ -528,6 +541,8 @@ GOLDEN = {
         "2c6f8ccf36dc9137a06387759c7219ce14436fe7ea68386b537ea78b78e28385", EMPTY),
     ("phase-scan", "ens3.json", "--points", "720"): (
         "e9c12c223e217db8e5d7366ca4750a4cb3637b21ffbcc63304cb810bfbb8e432", EMPTY),
+    ("phase-scan", "ens18.json"): (
+        "faa75badea88e56e4df6bf46a2328c4fd064f553c3ba61e5a72a6dfc48cc02f4", EMPTY),
     ("factorize", "rbsc.json"): (
         "5e3fa8130a41b1ab3b25be147523fbac3e1042166c5d79e416b1b970f8ce2804", EMPTY),
     ("qfactorize", "rbsc.json"): (

@@ -133,6 +133,23 @@ class TestPurity:
             m = m / m.trace().real
             assert 1 / dim - 1e-12 <= purity(m) <= 1 + 1e-12
 
+    def test_stack_matches_vdot_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        for dim in (1, 2, 3, 4, 8, 16):
+            x = rng.normal(size=(200, dim, dim)) + 1j * rng.normal(size=(200, dim, dim))
+            h = (x + x.conj().swapaxes(-1, -2)) / 2
+            reference = np.array([np.vdot(m, m).real for m in h])
+            assert np.array_equal(purity(h), reference)
+            assert np.array_equal(purity(h.reshape(20, 10, dim, dim)), reference.reshape(20, 10))
+            assert np.array_equal(purity(h[::3]), reference[::3])
+            assert [purity(m) for m in h[:20]] == reference[:20].tolist()
+            assert type(purity(h[0])) is float
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0, 0), (5, 0, 0)])
+    def test_rejects_what_is_not_a_square_matrix_or_a_stack(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            purity(np.zeros(shape))
+
 
 def test_eigen_dataclass_reconstruct_matches_input():
     m = np.diag([2.0, 1.0, 0.0])

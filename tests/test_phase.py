@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,3 +360,126 @@ class TestDenseReference:
         for _ in range(300):
             e = random_phased_ensemble(rng, n=int(rng.integers(1, 10)))
             assert delta(e) == float(dense_delta_of_phases(e, e.phases))
+
+
+def full_grid_scan(e, resolution):
+    """Reference reduction: the entropy at every point of ``_phase_grid``,
+    then its first minimum in C order, as (min_entropy, min_delta,
+    argmin_phases)."""
+    axis, deltas = phase._phase_grid(e, resolution)
+    entropies = np.asarray(entropy_from_delta(deltas))
+    idx = np.unravel_index(int(np.argmin(entropies)), deltas.shape)
+    return float(entropies[idx]), float(deltas[idx]), np.array([0.0] + [axis[i] for i in idx])
+
+
+def kind_ensemble(rng, n, kind):
+    """An n-state ensemble of one kind:
+    - ``seeded``: random weights and magnitudes;
+    - ``equal-magnitude``: random weights, one a and b for every state;
+    - ``equal-weight``: uniform weights and one a and b, so symmetric points tie;
+    - ``dead``: about half the states are |0> or |1>, whose phases tie exactly;
+    - ``nearly-mixed``: every state within 1e-9..1e-6 of |0> or |1>, so the
+      deltas sit near 1/4, where the computed entropy is monotone in delta
+      only up to round-off.
+    """
+    if kind == "equal-weight":
+        w = np.full(n, 1 / n)
+    elif kind == "nearly-mixed":
+        w = rng.dirichlet(np.full(n, 50.0))
+    else:
+        w = rng.dirichlet(np.ones(n))
+    if kind in ("equal-magnitude", "equal-weight"):
+        a = np.full(n, np.sqrt(rng.uniform(0.05, 0.95)))
+    elif kind == "nearly-mixed":
+        tiny = 10.0 ** rng.uniform(-9, -6, n)
+        a = np.where(rng.random(n) < 0.5, np.sqrt(1 - tiny**2), tiny)
+    else:
+        a = np.sqrt(rng.uniform(0.05, 0.95, size=n))
+    if kind == "dead":
+        a = np.where(rng.random(n) < 0.5, (rng.random(n) < 0.5).astype(float), a)
+    return PhasedQubitEnsemble(w, a, np.sqrt(1.0 - a**2), rng.uniform(0, 2 * np.pi, size=n))
+
+
+KINDS = ["seeded", "equal-magnitude", "equal-weight", "dead", "nearly-mixed"]
+# sha256 over delta(e) and sign_pattern_deltas(e) of the ensembles in
+# test_kernels_keep_their_values, taken before the pair term of
+# _delta_of_phases moved into one scratch array.
+PINNED_KERNEL_DIGEST = "ba6011882a1f933da3faaef2fd6d2e46a3d91bd055bb41355fe88eb3072c46d5"
+
+
+class TestDeltaReduction:
+    """grid_scan evaluates the entropy only within DELTA_WINDOW of the
+    smallest delta and returns exactly what the full reduction returns."""
+
+    def assert_full_reduction(self, e, resolution):
+        scan = grid_scan(e, resolution)
+        min_entropy, min_delta, argmin_phases = full_grid_scan(e, resolution)
+        assert scan.min_entropy == min_entropy
+        assert scan.min_delta == min_delta
+        assert np.array_equal(scan.argmin_phases, argmin_phases)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_sign_grid(self, n, kind):
+        rng = np.random.default_rng([701, n, KINDS.index(kind)])
+        for _ in range(3):
+            self.assert_full_reduction(kind_ensemble(rng, n, kind), 2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("resolution", [3, 4, 7, 36, 72, 360])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fine_grid(self, n, resolution, kind):
+        rng = np.random.default_rng([709, n, resolution, KINDS.index(kind)])
+        self.assert_full_reduction(kind_ensemble(rng, n, kind), resolution)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_small_chunks(self, kind, monkeypatch):
+        # Chunks of 7 points put ties and near-ties on both sides of many
+        # chunk boundaries; the first minimum must still win.
+        monkeypatch.setattr(phase, "SCAN_CHUNK", 7)
+        rng = np.random.default_rng([739, KINDS.index(kind)])
+        for n, resolution in [(2, 36), (3, 7), (3, 72), (6, 2), (9, 2), (12, 2)]:
+            for _ in range(5):
+                self.assert_full_reduction(kind_ensemble(rng, n, kind), resolution)
+
+    def test_many_nearly_mixed_ensembles(self):
+        # Here the computed entropy of a slightly larger delta can be an ulp
+        # smaller, so reducing on the smallest delta alone picks another point
+        # in a few ensembles out of a thousand.
+        rng = np.random.default_rng(719)
+        for _ in range(2000):
+            n = int(rng.integers(2, 9))
+            resolution = 2 if n > 4 else int(rng.choice([2, 3, 4, 7]))
+            self.assert_full_reduction(kind_ensemble(rng, n, "nearly-mixed"), resolution)
+
+    def test_kernels_keep_their_values(self):
+        rng = np.random.default_rng(727)
+        digest = hashlib.sha256()
+        for n in range(1, 13):
+            for kind in KINDS:
+                e = kind_ensemble(rng, n, kind)
+                digest.update(np.float64(delta(e)).tobytes())
+                digest.update(sign_pattern_deltas(e).tobytes())
+        assert digest.hexdigest() == PINNED_KERNEL_DIGEST
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("n, resolution", [(3, 720), (18, 2)])
+    def test_peak_memory_stays_near_the_delta_array(self, n, resolution, tied):
+        # tracemalloc sees numpy's buffers. The delta array is 4.1 MB at
+        # 3 states / 720 points and 1 MB at 18 states / resolution 2. With
+        # every a_j = 1e-7 the deltas spread over about 1e-14, so every grid
+        # point lies within DELTA_WINDOW of the smallest.
+        e = random_phased_ensemble(np.random.default_rng(733), n=n)
+        if tied:
+            a = np.full(n, 1e-7)
+            e = PhasedQubitEnsemble(e.weights, a, np.sqrt(1.0 - a**2), e.phases)
+            deltas = phase._phase_grid(e, resolution)[1]
+            assert (deltas <= deltas.min() + phase.DELTA_WINDOW).all()
+        grid_scan(e, 2)
+        tracemalloc.start()
+        try:
+            grid_scan(e, resolution)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * resolution ** (n - 1)

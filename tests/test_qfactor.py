@@ -452,8 +452,9 @@ class TestPovmStack:
             (np.eye(2), [[1.0, 0.0]]),
             (np.ones((2, 3)), np.ones((2, 3))),
             (np.ones(2), np.ones(2)),
+            ([[1.0, 0.0], [0.0]],),
         ],
-        ids=["mixed-dims", "ragged-rows", "non-square", "vectors"],
+        ids=["mixed-dims", "ragged-rows", "non-square", "vectors", "ragged-element"],
     )
     def test_ragged_or_non_square_elements_raise_dimension_mismatch(self, elements):
         with pytest.raises(DimensionMismatch):
