@@ -17,7 +17,7 @@ from .channel import (
     shannon_entropy,
     verify_factorization,
 )
-from .linalg import NotHermitian, NotPSD, eig_hermitian, psd_sqrt, purity
+from .linalg import purity
 from .qfactor import (
     POVM,
     DensityMatrix,

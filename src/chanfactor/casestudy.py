@@ -44,7 +44,6 @@ __all__ = [
     "family_qfactorization",
     "m8_constraint_rank",
     "rho_A",
-    "rho_mm",
 ]
 
 T_MIN = -0.5
@@ -98,10 +97,6 @@ def build_sic_family() -> SicFamily:
     ket2[2] = 1.0
     rho_b = DensityMatrix.from_pure(PureState(ket2))
     return SicFamily(states, povm, rho_b)
-
-
-def rho_mm() -> DensityMatrix:
-    return DensityMatrix(np.eye(3) / 3)
 
 
 def rho_A(t: float) -> DensityMatrix:

@@ -31,7 +31,6 @@ __all__ = [
     "pushforward",
     "rbsc",
     "shannon_entropy",
-    "singleton_partition",
     "verify_factorization",
 ]
 
@@ -118,10 +117,6 @@ class Channel:
     def n_outputs(self) -> int:
         return len(self.outputs)
 
-    def row(self, i: int) -> np.ndarray:
-        """Conditional output distribution of input index ``i``."""
-        return self.matrix[i]
-
     def to_json(self) -> dict:
         return {
             "inputs": list(self.inputs),
@@ -189,12 +184,6 @@ class Partition:
         """Lowest-index member of each class, in class order."""
         return tuple(c[0] for c in self.classes)
 
-    def class_index_of(self, x: int) -> int:
-        for k, c in enumerate(self.classes):
-            if x in c:
-                return k
-        raise IndexError(f"element {x} not covered by partition")
-
     def refines(self, other: "Partition") -> bool:
         """True if every class of self sits inside a class of ``other``."""
         if self.size != other.size:
@@ -206,10 +195,6 @@ class Partition:
         return all(len({owner[x] for x in c}) == 1 for c in self.classes)
 
 
-def singleton_partition(n: int) -> Partition:
-    return Partition(tuple((i,) for i in range(n)), n)
-
-
 @dataclass(frozen=True)
 class InputDistribution:
     """Probability distribution over a channel's input alphabet."""
@@ -218,10 +203,6 @@ class InputDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _weight_vector(self.probs, "probabilities"))
-
-    @property
-    def full_support(self) -> bool:
-        return bool(self.probs.min() > 0)
 
     @classmethod
     def uniform(cls, n: int) -> "InputDistribution":
@@ -310,11 +291,15 @@ def _probs(d) -> np.ndarray:
     return InputDistribution(np.asarray(d, dtype=float)).probs
 
 
+def _positive_entropy(x: np.ndarray) -> float:
+    """-sum x log2 x over the positive entries of ``x`` alone, in bits."""
+    x = x[x > 0]
+    return float(-(x * np.log2(x)).sum()) + 0.0  # + 0.0 normalizes -0.0
+
+
 def shannon_entropy(d) -> float:
     """Entropy -sum p log2 p in bits, with 0 log 0 = 0."""
-    p = _probs(d)
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum()) + 0.0  # + 0.0 normalizes -0.0
+    return _positive_entropy(_probs(d))
 
 
 def pushforward(d, p: Partition) -> InputDistribution:

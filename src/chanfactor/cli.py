@@ -151,7 +151,7 @@ def cmd_heatmap(args) -> int:
     p_steps = args.points
     alpha_steps = args.points if args.alpha_points is None else args.alpha_points
     if p_steps < 2 or alpha_steps < 2:
-        raise InvalidChannel("heatmap needs at least 2 steps per axis")
+        raise ValueError("heatmap needs at least 2 steps per axis")
     ps = np.linspace(0.0, 1.0, p_steps)
     alphas = np.linspace(0.0, 1.0, alpha_steps)
     grid = advantage_grid(ps, alphas)

@@ -1,24 +1,16 @@
-"""Dense complex linear algebra for small Hermitian problems (dim <= 16).
+"""Tolerances and small array helpers shared by every chanfactor module.
 
-Everything here operates on plain numpy arrays and returns new arrays;
-inputs are never modified. All spectral quantities downstream (entropies,
-fidelities) are in base 2, so eigenvalue conventions fixed here (descending
-order, round-off clamping) are relied on throughout the package.
+Every round-off tolerance of the package lives here with its reason. The
+helpers operate on plain numpy arrays and return new arrays; inputs are
+never modified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "HermitianEigen",
-    "NotHermitian",
-    "NotPSD",
     "EIG_CLAMP",
-    "eig_hermitian",
-    "psd_sqrt",
     "purity",
 ]
 
@@ -30,10 +22,6 @@ ROW_TOL = 1e-9
 SUM_TOL = 1e-9
 # Probabilities and weights down to -NEG_TOL are round-off zeros of differences like 1 - p.
 NEG_TOL = 1e-12
-# Max |A - A†| for eig_hermitian: general input such as computed products, looser than STATE_TOL.
-HERMITIAN_TOL = 1e-8
-# psd_sqrt clamps eigenvalues down to -PSD_TOL: they move by about the asymmetry HERMITIAN_TOL.
-PSD_TOL = 1e-8
 # Eigenvalues down to -EIG_CLAMP are round-off zeros of a validated density matrix.
 EIG_CLAMP = 1e-10
 # State norm, a^2 + b^2 and DensityMatrix Hermiticity: states are sums of a few O(1) products.
@@ -44,77 +32,6 @@ UHLMANN_CUTOFF = 1e-14
 RANK_TOL = 1e-9
 # Entropy gap in bits treated as a tie: rebit `beaten` and the phase-scan `pass` check.
 ENTROPY_TOL = 1e-9
-
-
-class NotHermitian(ValueError):
-    """Matrix differs from its conjugate transpose beyond tolerance."""
-
-
-class NotPSD(ValueError):
-    """Hermitian matrix has an eigenvalue below the PSD tolerance."""
-
-
-def _square(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _check_hermitian(a: np.ndarray) -> np.ndarray:
-    asym = np.abs(a - a.conj().T).max()
-    if asym > HERMITIAN_TOL:
-        raise NotHermitian(
-            f"max asymmetry {asym:.3e} exceeds {HERMITIAN_TOL:.0e}"
-        )
-    # Symmetrize so downstream results do not depend on which triangle
-    # carried the round-off.
-    return (a + a.conj().T) / 2
-
-
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Spectral decomposition with eigenvalues sorted in descending order.
-
-    ``eigenvectors[:, i]`` is the unit eigenvector paired with
-    ``eigenvalues[i]``; the columns are orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Return V diag(w) V†."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def eig_hermitian(m) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitian if the max asymmetry exceeds HERMITIAN_TOL. Eigenvalues are
-    real and returned in descending order.
-    """
-    a = _check_hermitian(_square(m))
-    w, v = np.linalg.eigh(a)
-    order = slice(None, None, -1)
-    return HermitianEigen(np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order]))
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-PSD_TOL, 0) are treated as round-off and clamped to zero;
-    anything more negative raises NotPSD. The result R is Hermitian and
-    satisfies R @ R ~= m.
-    """
-    eig = eig_hermitian(m)
-    w = eig.eigenvalues
-    if w.min() < -PSD_TOL:
-        raise NotPSD(f"eigenvalue {w.min():.3e} below -{PSD_TOL:.0e}")
-    v = eig.eigenvectors
-    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    return (root + root.conj().T) / 2
 
 
 def _check_tol(tol: float) -> float:

@@ -25,12 +25,13 @@ from .channel import (
     InputDistribution,
     Partition,
     _class_row_violations,
+    _positive_entropy,
     _weight_vector,
     causal_partition,
     pushforward,
 )
 from .linalg import (
-    EIG_CLAMP, ENTROPY_TOL, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_tol, _freeze, psd_sqrt,
+    EIG_CLAMP, ENTROPY_TOL, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_tol, _freeze,
 )
 
 __all__ = [
@@ -165,14 +166,6 @@ class PureState:
             raise ValueError("amplitudes must form a nonempty vector")
         _check_unit_norm(v)
         object.__setattr__(self, "amplitudes", _freeze(v))
-
-    @classmethod
-    def normalized(cls, vec) -> "PureState":
-        v = np.asarray(vec, dtype=complex)
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(v / n)
 
     @property
     def dim(self) -> int:
@@ -316,15 +309,6 @@ class QFactorization:
     def cardinality(self) -> int:
         return len(self.signals)
 
-    @property
-    def signal_map(self) -> dict:
-        """Class representative label -> signal state."""
-        reps = self.partition.representatives
-        return {self.input_labels[r]: s for r, s in zip(reps, self.signals)}
-
-    def signal_for_input(self, x: int) -> DensityMatrix:
-        return self.signals[self.partition.class_index_of(x)]
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -414,9 +398,7 @@ def verify_qfactorization(c: Channel, q: QFactorization, tol: float = ROW_TOL) -
 def von_neumann_entropy(rho) -> float:
     """-tr(rho log2 rho) in qubits, via the eigenvalue spectrum."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else DensityMatrix(rho).matrix
-    w = np.maximum(np.linalg.eigvalsh(m), 0.0)
-    w = w[w > 0]
-    return float(-(w * np.log2(w)).sum()) + 0.0  # + 0.0 normalizes -0.0
+    return _positive_entropy(np.linalg.eigvalsh(m))
 
 
 def average_state(e: Ensemble) -> DensityMatrix:
@@ -477,7 +459,11 @@ def quantum_fidelity(s1, s2) -> float:
         psi, rho = (a.pure, b) if a.pure is not None else (b.pure, a)
         v = psi.amplitudes
         return float(np.sqrt(max(np.vdot(v, rho.matrix @ v).real, 0.0)))
-    root = psd_sqrt(a.matrix)
+    # _as_density bounds a's asymmetry by STATE_TOL and its eigenvalues below by -EIG_CLAMP: nothing to check.
+    w, v = np.linalg.eigh((a.matrix + a.matrix.conj().T) / 2)
+    w, v = w[::-1], v[:, ::-1]  # largest first: the order of the sum below fixes the fidelity's last bits
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    root = (root + root.conj().T) / 2
     inner = root @ b.matrix @ root
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     # Spurious eigenvalues of order eps would contribute sqrt(eps) each;

@@ -31,12 +31,6 @@ def random_full_support_dist(rng, n):
     return InputDistribution(p / p.sum())
 
 
-def random_unitary(rng, d):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_pure(rng, d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(v / np.linalg.norm(v))

@@ -14,10 +14,9 @@ from chanfactor.casestudy import (
     family_qfactorization,
     m8_constraint_rank,
     rho_A,
-    rho_mm,
 )
 from chanfactor.linalg import purity
-from chanfactor.qfactor import DensityMatrix, verify_qfactorization, von_neumann_entropy
+from chanfactor.qfactor import DensityMatrix, maximally_mixed, verify_qfactorization, von_neumann_entropy
 
 
 @pytest.fixture(scope="module")
@@ -185,13 +184,13 @@ class TestConstraintRank:
     def test_null_direction_is_the_line(self, family):
         _, direction = m8_constraint_rank(family)
         # null direction must be proportional to |0><0| - I/3
-        line = rho_A(1.0).matrix - rho_mm().matrix
+        line = rho_A(1.0).matrix - maximally_mixed(3).matrix
         line = line / np.abs(line).max()
         scale = direction[0, 0] / line[0, 0]
         assert np.abs(direction - scale * line).max() <= 1e-9
 
     def test_probabilities_on_line_are_constant(self, family):
-        base = family.povm_m8.outcome_probabilities(rho_mm())
+        base = family.povm_m8.outcome_probabilities(maximally_mixed(3))
         for t in (-0.5, 0.3, 1.0):
             probs = family.povm_m8.outcome_probabilities(rho_A(t))
             assert np.abs(probs - base).max() <= 1e-12

@@ -21,7 +21,6 @@ from chanfactor.channel import (
     pushforward,
     rbsc,
     shannon_entropy,
-    singleton_partition,
     verify_factorization,
 )
 
@@ -41,7 +40,7 @@ class TestChannelType:
     def test_valid_construction(self):
         c = Channel(("a", "b"), ("0", "1"), [[0.25, 0.75], [1.0, 0.0]])
         assert c.n_inputs == 2 and c.n_outputs == 2
-        assert np.allclose(c.row(0), [0.25, 0.75])
+        assert np.allclose(c.matrix[0], [0.25, 0.75])
 
     def test_rejects_bad_row_sum(self):
         with pytest.raises(InvalidChannel):
@@ -351,12 +350,12 @@ class TestPushforward:
 
     def test_singleton_identity(self):
         d = InputDistribution(np.array([0.1, 0.2, 0.7]))
-        out = pushforward(d, singleton_partition(3))
+        out = pushforward(d, Partition(((0,), (1,), (2,)), 3))
         assert np.array_equal(out.probs, d.probs)
 
     def test_size_mismatch(self):
         with pytest.raises(AlphabetMismatch):
-            pushforward([0.5, 0.5], singleton_partition(3))
+            pushforward([0.5, 0.5], Partition(((0,), (1,), (2,)), 3))
 
 
 class TestClassicalFidelity:
@@ -509,10 +508,6 @@ class TestPartitionType:
         assert not coarse.refines(fine)
         assert fine.refines(fine)
 
-    def test_class_index_of(self):
-        p = Partition(((0, 2), (1, 3)), 4)
-        assert [p.class_index_of(i) for i in range(4)] == [0, 1, 0, 1]
-
 
 class TestInputDistribution:
     def test_rejects_bad_sum(self):
@@ -523,7 +518,3 @@ class TestInputDistribution:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             InputDistribution(np.array([bad, 0.5]))
-
-    def test_full_support_flag(self):
-        assert InputDistribution(np.array([0.5, 0.5])).full_support
-        assert not InputDistribution(np.array([1.0, 0.0])).full_support

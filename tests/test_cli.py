@@ -1,8 +1,11 @@
 import argparse
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -278,8 +281,12 @@ class TestHeatmap:
         assert len(out.strip().split("\n")) == 1 + 12
 
     def test_rejects_tiny_grid(self, capsys):
-        code, _, _ = run(capsys, "heatmap", "--points", "1")
-        assert code == 2
+        code, out, err = run(capsys, "heatmap", "--points", "1")
+        assert (code, out, err) == (2, "", "validation error: heatmap needs at least 2 steps per axis\n")
+        # No channel is involved, so the refusal is a plain ValueError.
+        with pytest.raises(ValueError) as refused:
+            cli.cmd_heatmap(build_parser().parse_args(["heatmap", "--points", "1"]))
+        assert type(refused.value) is ValueError
 
     def test_unallocatable_grid_exit_code(self, capsys, monkeypatch):
         # The grid is faked: a real 200000^2 request would be real memory on
@@ -451,6 +458,17 @@ class TestImports:
     )
     def test_phase_re_exports_are_the_phase_objects(self, name):
         assert getattr(chanfactor, name) is getattr(phase, name)
+
+    def test_every_public_name_resolves(self):
+        # A name left in __all__, or re-exported, after its definition is deleted fails here.
+        for info in pkgutil.iter_modules(chanfactor.__path__):
+            module = importlib.import_module(f"chanfactor.{info.name}")
+            assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
+        for node in ast.parse(Path(chanfactor.__file__).read_text()).body:
+            if isinstance(node, ast.ImportFrom):
+                home = importlib.import_module(f"chanfactor.{node.module}")
+                for alias in node.names:
+                    assert alias.name in home.__all__ and getattr(chanfactor, alias.name) is getattr(home, alias.name)
 
     def test_unknown_package_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
