@@ -13,7 +13,7 @@ the pure endpoint t = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ class TOutOfRange(ValueError):
     """Line parameter t leaves the positivity interval [-0.5, 1]."""
 
 
-@dataclass(frozen=True)
-class SicFamily:
+class SicFamily(NamedTuple):
     """The nine symmetric qutrit states, the M8 measurement, and |2><2|."""
 
     states: tuple
@@ -134,16 +133,14 @@ def family_qfactorization(f: SicFamily, t: float) -> QFactorization:
     return QFactorization(("A", "B"), part, (rho_A(t), f.rho_b), f.povm_m8)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     t: float
     entropy_rho_t: float
     purity_rho_t: float
     entropy_rho_At: float
 
 
-@dataclass(frozen=True)
-class EntropyPurityCurve:
+class EntropyPurityCurve(NamedTuple):
     """Entropy and purity of rho_t = 0.5 rho_A(t) + 0.5 |2><2| over the line.
 
     ``entropy_rho_At`` tracks the unmixed line state rho_A(t) as well, so

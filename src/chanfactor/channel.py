@@ -9,11 +9,11 @@ gives the coarsest deterministic-first-stage factorization of the channel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _check_tol, _freeze
+from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _check_tol, _checked_record, _freeze
 
 __all__ = [
     "AlphabetMismatch",
@@ -71,33 +71,30 @@ def _number_array(data, what: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(_checked_record("Channel", "inputs outputs matrix")):
     """Conditional distribution P(Y|X) over finite alphabets.
 
     ``matrix[i, j]`` is the probability of output ``outputs[j]`` given input
-    ``inputs[i]``. Entries must be finite and lie in [0, 1] up to round-off,
-    and rows must sum to 1 within SUM_TOL.
+    ``inputs[i]``; the labels are tuples and the matrix a read-only float
+    array. Entries must be finite and lie in [0, 1] up to round-off, and
+    rows must sum to 1 within SUM_TOL.
     """
 
-    inputs: tuple
-    outputs: tuple
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        m = np.asarray(self.matrix, dtype=float)
+    def __new__(cls, inputs, outputs, matrix):
+        inputs, outputs = tuple(inputs), tuple(outputs)
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2:
             raise InvalidChannel(f"matrix must be 2-D, got ndim={m.ndim}")
-        if m.shape != (len(self.inputs), len(self.outputs)):
+        if m.shape != (len(inputs), len(outputs)):
             raise InvalidChannel(
                 f"matrix shape {m.shape} does not match alphabets "
-                f"({len(self.inputs)}x{len(self.outputs)})"
+                f"({len(inputs)}x{len(outputs)})"
             )
-        if len(self.inputs) < 1 or len(self.outputs) < 1:
+        if len(inputs) < 1 or len(outputs) < 1:
             raise InvalidChannel("alphabets must be nonempty")
-        for side, labels in (("input", self.inputs), ("output", self.outputs)):
+        for side, labels in (("input", inputs), ("output", outputs)):
             if len(set(labels)) != len(labels):
                 raise InvalidChannel(f"duplicate {side} labels")
         if not np.isfinite(m).all():
@@ -107,7 +104,7 @@ class Channel:
         rowsum_err = np.abs(m.sum(axis=1) - 1.0).max()
         if rowsum_err > SUM_TOL:
             raise InvalidChannel(f"row sums deviate from 1 by {rowsum_err:.3e}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        return super().__new__(cls, inputs, outputs, _freeze(m))
 
     @property
     def n_inputs(self) -> int:
@@ -149,8 +146,7 @@ def rbsc(p: float) -> Channel:
     return Channel(("0", "1", "2", "3"), ("0", "1"), rows)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_checked_record("Partition", "classes size")):
     """Disjoint cover of ``range(size)`` by nonempty index classes.
 
     Classes are stored sorted internally and ordered by their lowest member,
@@ -158,22 +154,21 @@ class Partition:
     representative.
     """
 
-    classes: tuple
-    size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        canon = tuple(tuple(sorted(c)) for c in self.classes)
+    def __new__(cls, classes, size: int):
+        canon = tuple(tuple(sorted(c)) for c in classes)
         canon = tuple(sorted(canon, key=lambda c: c[0] if c else -1))
         seen: set = set()
         for c in canon:
             if not c:
                 raise ValueError("partition classes must be nonempty")
             seen.update(c)
-        if sum(len(c) for c in canon) != len(seen) or seen != set(range(self.size)):
+        if sum(len(c) for c in canon) != len(seen) or seen != set(range(size)):
             raise ValueError(
-                f"classes must disjointly cover range({self.size})"
+                f"classes must disjointly cover range({size})"
             )
-        object.__setattr__(self, "classes", canon)
+        return super().__new__(cls, canon, size)
 
     @property
     def n_classes(self) -> int:
@@ -195,22 +190,21 @@ class Partition:
         return all(len({owner[x] for x in c}) == 1 for c in self.classes)
 
 
-@dataclass(frozen=True)
-class InputDistribution:
-    """Probability distribution over a channel's input alphabet."""
+class InputDistribution(_checked_record("InputDistribution", "probs")):
+    """Probability distribution over a channel's input alphabet, held as a
+    read-only vector ``probs``."""
 
-    probs: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _weight_vector(self.probs, "probabilities"))
+    def __new__(cls, probs):
+        return super().__new__(cls, _weight_vector(probs, "probabilities"))
 
     @classmethod
     def uniform(cls, n: int) -> "InputDistribution":
         return cls(np.full(n, 1.0 / n))
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Deterministic first stage (partition) plus reduced second stage.
 
     ``reduced`` maps class representatives to the original output alphabet.
@@ -322,8 +316,7 @@ def classical_fidelity(q1, q2) -> float:
     return float(np.sqrt(np.clip(a, 0, None) * np.clip(b, 0, None)).sum())
 
 
-@dataclass(frozen=True)
-class FactorizationCheck:
+class FactorizationCheck(NamedTuple):
     """Outcome of verifying a factorization against a channel.
 
     ``violations`` holds (input label, output label, |delta|) triples for
@@ -333,7 +326,7 @@ class FactorizationCheck:
 
     ok: bool
     tol: float
-    violations: tuple = field(default=())
+    violations: tuple = ()
 
     def __bool__(self) -> bool:
         return self.ok

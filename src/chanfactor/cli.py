@@ -22,7 +22,6 @@ from . import qfactor
 from .channel import (
     Channel,
     InputDistribution,
-    InvalidChannel,
     _number_array,
     causal_factorization,
     pushforward,

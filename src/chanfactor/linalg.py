@@ -1,11 +1,14 @@
-"""Tolerances and small array helpers shared by every chanfactor module.
+"""Tolerances, the record base and small array helpers shared by every
+chanfactor module.
 
 Every round-off tolerance of the package lives here with its reason. The
-helpers operate on plain numpy arrays and return new arrays; inputs are
-never modified.
+array helpers operate on plain numpy arrays and return new arrays; inputs
+are never modified.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -42,10 +45,19 @@ def _check_tol(tol: float) -> float:
 
 
 def _freeze(a) -> np.ndarray:
-    """Read-only copy of ``a``, so frozen dataclasses stay immutable."""
+    """Read-only copy of ``a``, so that records holding arrays stay immutable."""
     a = np.array(a, copy=True)
     a.flags.writeable = False
     return a
+
+
+def _checked_record(name: str, fields: str) -> type:
+    """Namedtuple base of a record whose subclass checks and normalises its
+    fields in ``__new__``. Its ``_make``, which ``_replace`` calls, builds
+    through that ``__new__`` too, so no construction skips the checks."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 def purity(m) -> np.ndarray | float:

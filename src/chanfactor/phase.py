@@ -19,12 +19,12 @@ window's 1e-12 in delta is worth far more than the entropy's round-off.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import _weight_vector
-from .linalg import STATE_TOL, _freeze
+from .linalg import STATE_TOL, _checked_record, _freeze
 from .qfactor import Ensemble, PureState, _entropy_bits
 
 __all__ = [
@@ -55,24 +55,20 @@ class DegenerateMagnitudes(ValueError):
     """Some amplitude magnitude is zero, so its phase has no effect."""
 
 
-@dataclass(frozen=True)
-class PhasedQubitEnsemble:
+class PhasedQubitEnsemble(_checked_record("PhasedQubitEnsemble", "weights a b phases")):
     """Weighted qubit states a_j|0> + b_j e^{i phi_j}|1>.
 
     Magnitudes are nonnegative reals with a_j^2 + b_j^2 = 1; phases are in
-    radians.
+    radians. All four fields are read-only float vectors.
     """
 
-    weights: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    phases: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = _weight_vector(self.weights, "weights")
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        phi = np.asarray(self.phases, dtype=float)
+    def __new__(cls, weights, a, b, phases):
+        w = _weight_vector(weights, "weights")
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        phi = np.asarray(phases, dtype=float)
         if not (a.size == b.size == phi.size == w.size):
             raise ValueError("weights, a, b, phases must have equal length")
         if not np.isfinite(phi).all():
@@ -83,9 +79,7 @@ class PhasedQubitEnsemble:
         norm_err = np.abs(a**2 + b**2 - 1.0).max()
         if not norm_err <= STATE_TOL:
             raise ValueError(f"a_j^2 + b_j^2 must be finite and within 1 +- {STATE_TOL:.0e}, off by {norm_err:.3e}")
-        object.__setattr__(self, "weights", w)
-        for name, arr in (("a", a), ("b", b), ("phases", phi)):
-            object.__setattr__(self, name, _freeze(arr))
+        return super().__new__(cls, w, _freeze(a), _freeze(b), _freeze(phi))
 
     @classmethod
     def from_magnitudes(cls, weights, a, b) -> "PhasedQubitEnsemble":
@@ -167,8 +161,7 @@ def phase_gradient(e: PhasedQubitEnsemble) -> np.ndarray:
     return grad.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class GridScan:
+class GridScan(NamedTuple):
     """Result of an exhaustive phase-grid sweep (phi_1 pinned to 0)."""
 
     min_entropy: float

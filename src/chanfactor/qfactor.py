@@ -15,7 +15,7 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .channel import (
     pushforward,
 )
 from .linalg import (
-    EIG_CLAMP, ENTROPY_TOL, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_tol, _freeze,
+    EIG_CLAMP, ENTROPY_TOL, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_tol,
+    _checked_record, _freeze,
 )
 
 __all__ = [
@@ -154,18 +155,17 @@ def _overlaps(e: "Ensemble") -> np.ndarray:
     return a.conj() @ a.T
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Unit-norm complex amplitude vector."""
+class PureState(_checked_record("PureState", "amplitudes")):
+    """Unit-norm complex amplitude vector, held read-only as ``amplitudes``."""
 
-    amplitudes: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex)
+    def __new__(cls, amplitudes):
+        v = np.asarray(amplitudes, dtype=complex)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("amplitudes must form a nonempty vector")
         _check_unit_norm(v)
-        object.__setattr__(self, "amplitudes", _freeze(v))
+        return super().__new__(cls, _freeze(v))
 
     @property
     def dim(self) -> int:
@@ -181,21 +181,26 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, PSD, trace-1 matrix, optionally tagged with a pure witness."""
+class DensityMatrix(_checked_record("DensityMatrix", "matrix pure")):
+    """Hermitian, PSD, trace-1 matrix, held read-only as ``matrix``, and
+    optionally tagged with a pure witness ``pure``."""
 
-    matrix: np.ndarray
-    pure: PureState | None = None
+    __slots__ = ()
+
+    def __new__(cls, matrix, pure: PureState | None = None):
+        self = super().__new__(cls, _freeze(np.asarray(matrix, dtype=complex)), pure)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        """The checks of every construction, looked up on the class at each
+        call: bench/spans.py times them as ``qfactor.density_matrix``."""
+        m = self.matrix
         if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         _density_spectrum(m)
         if self.pure is not None and np.abs(m - self.pure.projector()).max() > ROW_TOL:
             raise ValueError("pure witness does not match the matrix")
-        object.__setattr__(self, "matrix", _freeze(m))
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":
@@ -210,8 +215,7 @@ def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim) / dim)
 
 
-@dataclass(frozen=True)
-class PovmCheck:
+class PovmCheck(NamedTuple):
     ok: bool
     max_asymmetry: float
     min_eigenvalue: float
@@ -221,8 +225,7 @@ class PovmCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class POVM:
+class POVM(_checked_record("POVM", "elements labels")):
     """Measurement given by PSD elements summing to the identity.
 
     ``elements`` is one read-only (n, d, d) complex stack and ``labels[k]``
@@ -231,12 +234,11 @@ class POVM:
     carry candidate measurements around.
     """
 
-    elements: np.ndarray
-    labels: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
-        labels = tuple(self.labels)
+    def __new__(cls, elements, labels):
+        elems = tuple(elements)
+        labels = tuple(labels)
         if len(elems) != len(labels) or not elems:
             raise ValueError("need one label per element and at least one element")
         # Shapes first: numpy refuses a ragged stack, or a ragged element, with a plain ValueError.
@@ -247,8 +249,7 @@ class POVM:
             raise DimensionMismatch(message) from err
         if len(shapes) != 1 or len(shape := shapes.pop()) != 2 or shape[0] != shape[1]:
             raise DimensionMismatch(message)
-        object.__setattr__(self, "elements", _freeze(np.asarray(elems, dtype=complex)))
-        object.__setattr__(self, "labels", labels)
+        return super().__new__(cls, _freeze(np.asarray(elems, dtype=complex)), labels)
 
     @classmethod
     def computational(cls, labels) -> "POVM":
@@ -277,57 +278,51 @@ class POVM:
         return np.clip(_born(self.elements, state.matrix), 0.0, None)
 
 
-@dataclass(frozen=True)
-class QFactorization:
+class QFactorization(_checked_record("QFactorization", "input_labels partition signals povm")):
     """Signal-state assignment plus measurement reproducing a channel.
 
     ``signals[k]`` is the state shared by every input in
     ``partition.classes[k]``; ``input_labels`` fixes the index/label
-    correspondence of the partition.
+    correspondence of the partition, and ``povm`` is the measurement.
     """
 
-    input_labels: tuple
-    partition: Partition
-    signals: tuple
-    povm: POVM
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_labels", tuple(self.input_labels))
-        object.__setattr__(self, "signals", tuple(self.signals))
-        if len(self.input_labels) != self.partition.size:
+    def __new__(cls, input_labels, partition: Partition, signals, povm: POVM):
+        input_labels, signals = tuple(input_labels), tuple(signals)
+        if len(input_labels) != partition.size:
             raise AlphabetMismatch("labels do not match partition size")
-        if len(self.signals) != self.partition.n_classes:
+        if len(signals) != partition.n_classes:
             raise ValueError("need exactly one signal state per class")
-        d = self.signals[0].dim
-        for s in self.signals:
+        d = signals[0].dim
+        for s in signals:
             if s.dim != d:
                 raise DimensionMismatch("signal states must share one dimension")
-        if self.povm.dim != d:
+        if povm.dim != d:
             raise DimensionMismatch("POVM dimension differs from signal states")
+        return super().__new__(cls, input_labels, partition, signals, povm)
 
     @property
     def cardinality(self) -> int:
         return len(self.signals)
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Probability-weighted collection of same-dimension quantum states."""
+class Ensemble(_checked_record("Ensemble", "weights states")):
+    """Probability-weighted collection of same-dimension quantum states:
+    a read-only weight vector ``weights`` and a tuple ``states``."""
 
-    weights: np.ndarray
-    states: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = _weight_vector(self.weights, "weights")
-        states = tuple(self.states)
+    def __new__(cls, weights, states):
+        w = _weight_vector(weights, "weights")
+        states = tuple(states)
         if w.size != len(states):
             raise ValueError("need one weight per state")
         d = states[0].dim
         for s in states:
             if s.dim != d:
                 raise DimensionMismatch("ensemble states must share one dimension")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", states)
+        return super().__new__(cls, w, states)
 
     @classmethod
     def from_pure(cls, weights, pure_states) -> "Ensemble":
@@ -363,14 +358,13 @@ def g0_construct(c: Channel, tol: float = ROW_TOL) -> QFactorization:
     return QFactorization(c.inputs, part, signals, POVM.computational(c.outputs))
 
 
-@dataclass(frozen=True)
-class QFactorizationCheck:
+class QFactorizationCheck(NamedTuple):
     """Diagnostic result of checking a Q-factorization against a channel."""
 
     ok: bool
     tol: float
     povm: PovmCheck
-    violations: tuple = field(default=())
+    violations: tuple = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -519,8 +513,7 @@ def gram_matrix(e: Ensemble) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class PairFidelity:
+class PairFidelity(NamedTuple):
     label_i: object
     label_j: object
     f_quantum: float
@@ -529,8 +522,7 @@ class PairFidelity:
     saturated: bool
 
 
-@dataclass(frozen=True)
-class FidelityBoundReport:
+class FidelityBoundReport(NamedTuple):
     """Per-class-pair comparison of quantum and classical fidelities.
 
     ``ok`` means no pair's quantum fidelity exceeded the classical one by
@@ -584,8 +576,7 @@ def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) ->
     return FidelityBoundReport(ok, tol, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class RebitSearchResult:
+class RebitSearchResult(NamedTuple):
     """Outcome of a randomized search over sign-flipped signal pairs.
 
     A stochastic scan is evidence, not a proof of optimality: it reports

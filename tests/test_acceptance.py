@@ -5,6 +5,7 @@ lines; tolerances are pinned in the assertions below.
 """
 
 import math
+import statistics
 import time
 
 import numpy as np
@@ -71,14 +72,18 @@ def channels_500():
 
 def test_criterion_01_rbsc_factorization():
     c = rbsc(0.3)
-    causal_factorization(c)  # warm-up outside the timed call
-    t0 = time.perf_counter()
-    f = causal_factorization(c)
-    elapsed = time.perf_counter() - t0
+    causal_factorization(c)  # warm-up outside the timed calls
+    # The median of several calls: one call on a busy host times the host, not the program.
+    times = []
+    for _ in range(15):
+        t0 = time.perf_counter()
+        f = causal_factorization(c)
+        times.append(time.perf_counter() - t0)
+    elapsed = statistics.median(times)
     assert f.partition.classes == ((0, 2), (1, 3))
     assert np.array_equal(f.reduced.matrix, np.array([[0.7, 0.3], [0.3, 0.7]]))
     assert elapsed < 1e-3
-    report(1, f"partition {{0,2}},{{1,3}}, exact reduced rows, {elapsed*1e6:.0f} us")
+    report(1, f"partition {{0,2}},{{1,3}}, exact reduced rows, median {elapsed*1e6:.0f} us of 15 calls")
 
 
 def test_criterion_02_pure_state_merging_values():

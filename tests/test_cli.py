@@ -2,6 +2,7 @@ import argparse
 import ast
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -452,6 +453,35 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
+    def test_no_module_imports_dataclasses(self):
+        # dataclasses pulls in inspect, ast and dis, and generates code for every record.
+        code = (
+            "import sys, chanfactor.cli, chanfactor.phase, chanfactor.casestudy; "
+            "print('dataclasses' in sys.modules)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+    def test_bench_span_targets_exist(self):
+        # bench/spans.py swaps these attributes for timing wrappers; a refactor that
+        # moves one would break the traced bench run without failing anything else.
+        path = Path(__file__).parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        from chanfactor import casestudy, channel, qfactor
+
+        targets = spans.layer_targets(cli, channel, qfactor, phase, casestudy)
+        assert [(owner, attr) for owner, attr, _, _ in targets if attr not in vars(owner)] == []
+        assert isinstance(vars(channel.Channel)["from_json"], classmethod)
+        tracer = spans.Tracer()
+        with spans.patched(tracer, targets):
+            channel.Channel.from_json(rbsc(0.3).to_json())
+            qfactor.DensityMatrix(np.eye(2) / 2)
+        assert [s[0] for s in tracer.spans] == ["channel.from_json", "qfactor.density_matrix"]
+        assert tracer.counts == {"channel.inputs": 4, "channel.outputs": 2}
 
     @pytest.mark.parametrize(
         "name", ["PhasedQubitEnsemble", "delta", "entropy_closed_form", "optimal_phases", "phase_gradient"]
