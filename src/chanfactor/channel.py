@@ -23,7 +23,6 @@ __all__ = [
     "InputDistribution",
     "InvalidChannel",
     "Partition",
-    "ROW_TOL",
     "causal_factorization",
     "causal_partition",
     "classical_fidelity",

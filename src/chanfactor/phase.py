@@ -231,7 +231,7 @@ def grid_scan(e: PhasedQubitEnsemble, resolution: int) -> GridScan:
     return GridScan(
         min_entropy,
         float(deltas[idx]),
-        np.array([0.0] + [axis[i] for i in idx]),
+        _freeze([0.0] + [axis[i] for i in idx]),
         resolution,
     )
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from chanfactor import linalg
 from chanfactor.channel import (
-    ROW_TOL,
     AlphabetMismatch,
     Channel,
     InputDistribution,
@@ -23,6 +22,7 @@ from chanfactor.channel import (
     shannon_entropy,
     verify_factorization,
 )
+from chanfactor.linalg import ROW_TOL
 
 from helpers import (
     brute_force_row_classes,

@@ -94,6 +94,8 @@ def test_fields_are_read_only(record):
             setattr(record, name, getattr(record, name))
     with pytest.raises(AttributeError):
         record.extra = 1
+    # and so is every array it holds, at any depth
+    assert same_frozen(record, record)
 
 
 @pytest.mark.parametrize("record, changes, error, message", REFUSED, ids=[type(r).__name__ for r, *_ in REFUSED])
