@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import Channel, Partition
-from .linalg import RANK_TOL, purity
+from .linalg import RANK_TOL, _entropy_bits, purity
 from .qfactor import (
     POVM,
     DensityMatrix,
@@ -26,7 +26,6 @@ from .qfactor import (
     QFactorization,
     _born,
     _density_spectrum,
-    _entropy_bits,
     _mixture,
     von_neumann_entropy,  # not called here; bench/spans.py traces casestudy.von_neumann_entropy
 )

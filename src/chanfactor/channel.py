@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _check_tol, _checked_record, _freeze
+from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _check_tol, _checked_record, _entropy_bits, _freeze
 
 __all__ = [
     "AlphabetMismatch",
@@ -286,8 +286,7 @@ def _probs(d) -> np.ndarray:
 
 def _positive_entropy(x: np.ndarray) -> float:
     """-sum x log2 x over the positive entries of ``x`` alone, in bits."""
-    x = x[x > 0]
-    return float(-(x * np.log2(x)).sum()) + 0.0  # + 0.0 normalizes -0.0
+    return float(_entropy_bits(x[x > 0])) + 0.0  # + 0.0 normalizes -0.0
 
 
 def shannon_entropy(d) -> float:

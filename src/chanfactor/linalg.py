@@ -1,5 +1,5 @@
-"""Tolerances, the record base and small array helpers shared by every
-chanfactor module.
+"""Tolerances, the record base, the entropy kernel and small array helpers
+shared by every chanfactor module.
 
 Every round-off tolerance of the package lives here with its reason. The
 array helpers operate on plain numpy arrays and return new arrays; inputs
@@ -13,7 +13,7 @@ from collections import namedtuple
 import numpy as np
 
 __all__ = [
-    "EIG_CLAMP",
+    "EIG_CLAMP", "ENTROPY_TOL", "NEG_TOL", "RANK_TOL", "ROW_TOL", "STATE_TOL", "SUM_TOL", "UHLMANN_CUTOFF",
     "purity",
 ]
 
@@ -33,7 +33,7 @@ STATE_TOL = 1e-10
 UHLMANN_CUTOFF = 1e-14
 # Case-study rank cutoff: the M8 singular values are 0.41 and one null value near 5e-17.
 RANK_TOL = 1e-9
-# Entropy gap in bits treated as a tie: rebit `beaten` and the phase-scan `pass` check.
+# Entropy gap in bits treated as a tie: the phase-scan `pass` check.
 ENTROPY_TOL = 1e-9
 
 
@@ -58,6 +58,19 @@ def _checked_record(name: str, fields: str) -> type:
     base = namedtuple(name, fields)
     base._make = classmethod(lambda cls, values: cls(*values))
     return base
+
+
+def _entropy_bits(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w over the last axis, entries <= 0 counting as 0.
+
+    numpy adds fewer than 8 terms one after another, so for rows of fewer
+    than 8 entries the zero terms change nothing and each result is
+    bit-identical to the sum over the positive entries alone (as
+    ``shannon_entropy`` and ``von_neumann_entropy`` take it). From 8 entries
+    on, pairwise summation may group the terms differently.
+    """
+    pos = w > 0
+    return -np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0).sum(axis=-1)
 
 
 def purity(m) -> np.ndarray | float:

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import _weight_vector
-from .linalg import STATE_TOL, _checked_record, _freeze
-from .qfactor import Ensemble, PureState, _entropy_bits
+from .linalg import STATE_TOL, _checked_record, _entropy_bits, _freeze
+from .qfactor import Ensemble, PureState
 
 __all__ = [
     "DegenerateMagnitudes",
@@ -66,9 +66,10 @@ class PhasedQubitEnsemble(_checked_record("PhasedQubitEnsemble", "weights a b ph
 
     def __new__(cls, weights, a, b, phases):
         w = _weight_vector(weights, "weights")
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        phi = np.asarray(phases, dtype=float)
+        a, b, phi = (np.asarray(v, dtype=float) for v in (a, b, phases))
+        for name, v in zip(("a", "b", "phases"), (a, b, phi)):
+            if v.ndim != 1:
+                raise ValueError(f"{name} must form a vector, got shape {v.shape}")
         if not (a.size == b.size == phi.size == w.size):
             raise ValueError("weights, a, b, phases must have equal length")
         if not np.isfinite(phi).all():

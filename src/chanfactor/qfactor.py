@@ -22,17 +22,16 @@ import numpy as np
 from .channel import (
     AlphabetMismatch,
     Channel,
-    InputDistribution,
     Partition,
     _class_row_violations,
+    _number_array,
     _positive_entropy,
     _weight_vector,
     causal_partition,
-    pushforward,
 )
 from .linalg import (
-    EIG_CLAMP, ENTROPY_TOL, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_tol,
-    _checked_record, _freeze,
+    EIG_CLAMP, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_tol, _checked_record,
+    _entropy_bits, _freeze,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "PureState",
     "QFactorization",
     "QFactorizationCheck",
-    "RebitSearchResult",
     "advantage_grid",
     "average_state",
     "fidelity_bound_check",
@@ -59,7 +57,6 @@ __all__ = [
     "qfactorization_from_json",
     "qfactorization_to_json",
     "quantum_fidelity",
-    "rebit_sign_search",
     "verify_qfactorization",
     "von_neumann_entropy",
 ]
@@ -106,19 +103,6 @@ def _density_spectrum(m: np.ndarray) -> np.ndarray:
     if not w.min() >= -EIG_CLAMP:
         raise ValueError(f"matrix has an eigenvalue below -{EIG_CLAMP:.0e}")
     return w
-
-
-def _entropy_bits(w: np.ndarray) -> np.ndarray:
-    """-sum w log2 w over the last axis, entries <= 0 counting as 0.
-
-    numpy adds fewer than 8 terms one after another, so for rows of fewer
-    than 8 entries the zero terms change nothing and each result is
-    bit-identical to the sum over the positive entries alone (as
-    ``von_neumann_entropy`` takes it). From 8 entries on, pairwise summation
-    may group the terms differently.
-    """
-    pos = w > 0
-    return -np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0).sum(axis=-1)
 
 
 def _sqrt_amplitudes(rows: np.ndarray) -> np.ndarray:
@@ -576,56 +560,6 @@ def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) ->
     return FidelityBoundReport(ok, tol, tuple(pairs))
 
 
-class RebitSearchResult(NamedTuple):
-    """Outcome of a randomized search over sign-flipped signal pairs.
-
-    A stochastic scan is evidence, not a proof of optimality: it reports
-    the best alternative found, never a certificate.
-    """
-
-    baseline_entropy: float
-    best_entropy: float
-    n_samples: int
-
-    @property
-    def beaten(self) -> bool:
-        return self.best_entropy < self.baseline_entropy - ENTROPY_TOL
-
-
-def rebit_sign_search(
-    c: Channel,
-    dist: InputDistribution | None = None,
-    n_samples: int = 1000,
-    seed: int = 0,
-) -> RebitSearchResult:
-    """Search real signed-amplitude signal pairs for lower ensemble entropy.
-
-    Only channels with exactly two causal classes are accepted. Every
-    sampled pair keeps |amplitude|^2 equal to the conditional probabilities,
-    so each one reproduces the channel under the standard projective
-    measurement; only the relative signs vary.
-    """
-    part = causal_partition(c)
-    if part.n_classes != 2:
-        raise ValueError(f"channel has {part.n_classes} causal classes, need 2")
-    if dist is None:
-        dist = InputDistribution.uniform(c.n_inputs)
-    weights = pushforward(dist, part).probs
-    roots = _sqrt_amplitudes(c.matrix[list(part.representatives)])
-    baseline = von_neumann_entropy(
-        average_state(Ensemble.from_pure(weights, [PureState(r) for r in roots]))
-    )
-    best = baseline
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        signs = rng.choice([-1.0, 1.0], size=roots.shape)
-        states = [PureState(signs[i] * roots[i]) for i in range(2)]
-        s = von_neumann_entropy(average_state(Ensemble.from_pure(weights, states)))
-        if s < best:
-            best = s
-    return RebitSearchResult(float(baseline), float(best), n_samples)
-
-
 def _matrix_to_json(m: np.ndarray) -> dict:
     return {
         "dim": int(m.shape[0]),
@@ -635,8 +569,10 @@ def _matrix_to_json(m: np.ndarray) -> dict:
 
 
 def _matrix_from_json(data: dict) -> np.ndarray:
-    d = int(data["dim"])
-    m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+    d = data["dim"]
+    if type(d) is not int:  # a JSON integer: not a float such as 2.9, a string or a boolean
+        raise ValueError(f"dim must be an integer, got {d!r}")
+    m = _number_array(data["re"], "re") + 1j * _number_array(data["im"], "im")
     if m.shape != (d, d):
         raise ValueError(f"matrix payload shape {m.shape} does not match dim {d}")
     return m

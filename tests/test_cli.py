@@ -392,6 +392,19 @@ class TestPhaseScan:
         assert code == 2 and out == ""
         assert f"at most {MAX_SIGN_STATES} states" in err
 
+    @pytest.mark.parametrize(
+        "weights, a, b",
+        [([1.0], [[0.6]], [[0.8]]), ([0.5, 0.5], [[0.6], [0.8]], [[0.8], [0.6]]), ([1.0], 0.6, 0.8)],
+        ids=["one-state", "two-states", "scalars"],
+    )
+    def test_rejects_magnitudes_that_are_not_vectors(self, capsys, tmp_path, weights, a, b):
+        # One nested state or bare numbers gave a full report; two nested
+        # states failed with numpy's "non-broadcastable output operand".
+        spec = self.write_spec(tmp_path, weights, a, b)
+        code, out, err = run(capsys, "phase-scan", spec)
+        assert code == 2 and out == ""
+        assert "validation error: a must form a vector" in err
+
     def test_malformed_spec_exit_code(self, capsys, tmp_path):
         path = tmp_path / "ens.json"
         path.write_text(json.dumps({"weights": [1.0]}))

@@ -3,6 +3,7 @@ inputs, checked by the benchmark's own oracles. Those re-derive each output
 with numpy alone from the structure ``bench/workloads.py`` plants, so they
 do not share code with the library."""
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -19,6 +20,25 @@ SEEDS = range(1, 21)
 SCALES = {"many-inputs": 0.02, "many-classes": 0.1}
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of (stdout, stderr) of each seed-1 command at those scales, its
+# inputs built into the relative directory "work", so that the paths the
+# reports echo are fixed. Their average states have 8 and 16 eigenvalues:
+# no GOLDEN fixture in test_cli.py sums an entropy over 8 or more entries.
+EMPTY = sha256("")
+DIGESTS = {
+    ("many-inputs", "factorize"): (
+        "73ae844b769a0c32c6f634e32884064351bb0a9aa8d5e9d7f37ada07269c5699", EMPTY),
+    ("many-inputs", "qfactorize"): (
+        "65dad0d6a0fe0f7294e57913c4f1537b5af11f464db7229263652105d94ba3ae", EMPTY),
+    ("many-classes", "qfactorize"): (
+        "46e71270d33235c94d3868877f51e0ae23de2f706e1857a7d63957c691f03530", EMPTY),
+}
+
+
 def check_all(capsys, invocations):
     for inv in invocations:
         code = main(list(inv.argv))
@@ -31,6 +51,17 @@ def check_all(capsys, invocations):
 @pytest.mark.parametrize("name", list(SCALES))
 def test_channel_workload(capsys, tmp_path, name, seed):
     check_all(capsys, workloads.build(name, seed, tmp_path, scale=SCALES[name]))
+
+
+@pytest.mark.parametrize("name", list(SCALES))
+def test_channel_workload_digests(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    invocations = workloads.build(name, 1, Path("work"), scale=SCALES[name])
+    for inv in invocations:
+        assert main(list(inv.argv)) == 0
+        captured = capsys.readouterr()
+        assert (sha256(captured.out), sha256(captured.err)) == DIGESTS[name, inv.name], inv.name
+    assert {(name, inv.name) for inv in invocations} == {key for key in DIGESTS if key[0] == name}
 
 
 def test_sweeps(capsys, tmp_path):

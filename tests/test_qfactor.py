@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -17,6 +18,7 @@ from chanfactor.channel import (
     rbsc,
     shannon_entropy,
 )
+from chanfactor.linalg import _entropy_bits
 from chanfactor.phase import PhasedQubitEnsemble
 from chanfactor.qfactor import (
     POVM,
@@ -27,7 +29,6 @@ from chanfactor.qfactor import (
     PureState,
     QFactorization,
     _density_spectrum,
-    _entropy_bits,
     advantage_grid,
     average_state,
     fidelity_bound_check,
@@ -39,7 +40,6 @@ from chanfactor.qfactor import (
     qfactorization_from_json,
     qfactorization_to_json,
     quantum_fidelity,
-    rebit_sign_search,
     verify_qfactorization,
     von_neumann_entropy,
 )
@@ -187,8 +187,6 @@ class TestG0Construct:
         assert verify_qfactorization(c, q)
         assert abs(np.linalg.norm(q.signals[0].pure.amplitudes) - 1.0) <= 1e-15
         assert np.array_equal(q.signals[1].pure.amplitudes, np.sqrt([0.2, 0.8]))
-        # The sign search takes the same roots; it used to raise "state norm".
-        assert not rebit_sign_search(c, n_samples=20).beaten
 
     def test_roots_equal_per_row_reference(self):
         # The per-row loop g0_construct ran before the stack kernel.
@@ -959,10 +957,15 @@ class TestToleranceArguments:
             incomplete.validate(tol)
 
 
-class TestRebitSignSearch:
-    def test_search_never_beats_baseline(self):
+class TestTwoClassSignFlips:
+    def test_no_sign_flip_lowers_the_entropy(self):
+        # Under the computational measurement, the real pure-state pairs that
+        # reproduce a two-class channel are the square-root pair with some
+        # amplitudes negated. Only the products s1_k s2_k of the signs enter
+        # the overlap, so negating entries of the second root alone reaches
+        # every such pair; the sum of the products is largest with no flip.
         rng = np.random.default_rng(131)
-        for trial in range(6):
+        for _ in range(6):
             n_out = int(rng.integers(2, 7))
             rows = rng.dirichlet(np.ones(n_out), size=2)
             n_in = int(rng.integers(2, 7))
@@ -973,14 +976,15 @@ class TestRebitSignSearch:
                 tuple(f"y{j}" for j in range(n_out)),
                 rows[assignment],
             )
-            result = rebit_sign_search(c, n_samples=1000, seed=trial)
-            assert result.best_entropy >= result.baseline_entropy - 1e-9
-            assert not result.beaten
-
-    def test_requires_two_classes(self):
-        c = Channel(("a",), ("0", "1"), [[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            rebit_sign_search(c)
+            q = g0_construct(c)
+            assert q.cardinality == 2
+            weights = pushforward(InputDistribution.uniform(n_in), q.partition).probs
+            baseline = von_neumann_entropy(average_state(Ensemble(weights, q.signals)))
+            first, second = (s.pure for s in q.signals)
+            for signs in itertools.product([1.0, -1.0], repeat=n_out):
+                flipped = PureState(np.array(signs) * second.amplitudes)
+                ens = Ensemble.from_pure(weights, (first, flipped))
+                assert von_neumann_entropy(average_state(ens)) >= baseline - 1e-12
 
 
 class TestQFactorizationJson:
@@ -1001,6 +1005,19 @@ class TestQFactorizationJson:
         payload["states"] = payload["states"][::-1]
         again = qfactorization_from_json(payload, c)
         assert verify_qfactorization(c, again, 1e-12)
+
+    @pytest.mark.parametrize("field, value", [("re", True), ("dim", 2.9), ("dim", "2")])
+    def test_matrix_fields_are_read_as_json_numbers(self, field, value):
+        # re held true/false and dim 2.9 or "2" used to be cast, and the result verified.
+        c = rbsc(0.3)
+        payload = qfactorization_to_json(g0_construct(c))
+        element = payload["povm"][0]
+        if field == "re":
+            element["re"] = [[value, False], [False, False]]
+        else:
+            element["dim"] = value
+        with pytest.raises(ValueError, match=f"{field} must"):
+            qfactorization_from_json(payload, c)
 
     def test_unknown_label_rejected(self):
         c = rbsc(0.3)
