@@ -6,13 +6,16 @@ heatmap, phase scans, the qutrit case-study curve, and the canned merging
 demonstration. All outputs are deterministic: a fixed configuration yields
 byte-identical bytes on every run.
 
-Exit codes: 0 success, 2 validation failure (an input too large to
-allocate included), 3 parse error.
+Each ``cmd_*`` returns (report, stderr summary, exit code); ``main`` alone
+writes them and maps every failure to an exit code: 0 success, 2 validation
+failure (an input too large to allocate included), 3 parse or I/O error. A
+failed ``--out`` write may leave a partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -82,19 +85,11 @@ def _tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _emit_json(args, doc: dict) -> None:
-    _write(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
-
-
-def cmd_factorize(args) -> int:
+def cmd_factorize(args) -> tuple:
     c = Channel.from_json(_load_json(args.channel))
     f = causal_factorization(c, args.tol)
     doc = {
@@ -107,11 +102,10 @@ def cmd_factorize(args) -> int:
         d = _load_dist(args.dist, c.n_inputs)
         doc["entropy_x"] = shannon_entropy(d)
         doc["entropy_z"] = shannon_entropy(pushforward(d, f.partition))
-    _emit_json(args, doc)
-    return EXIT_OK
+    return _json_text(doc), "", EXIT_OK
 
 
-def cmd_qfactorize(args) -> int:
+def cmd_qfactorize(args) -> tuple:
     c = Channel.from_json(_load_json(args.channel))
     q = g0_construct(c, args.tol)
     check = verify_qfactorization(c, q, args.tol)
@@ -142,11 +136,10 @@ def cmd_qfactorize(args) -> int:
             ],
         },
     }
-    _emit_json(args, doc)
-    return EXIT_OK if check.ok else EXIT_VALIDATION
+    return _json_text(doc), "", EXIT_OK if check.ok else EXIT_VALIDATION
 
 
-def cmd_heatmap(args) -> int:
+def cmd_heatmap(args) -> tuple:
     p_steps = args.points
     alpha_steps = args.points if args.alpha_points is None else args.alpha_points
     if p_steps < 2 or alpha_steps < 2:
@@ -158,11 +151,10 @@ def cmd_heatmap(args) -> int:
     for i, p in enumerate(ps):
         for j, a in enumerate(alphas):
             lines.append(f"{float(p)!r},{float(a)!r},{float(grid[i, j])!r}")
-    _write(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", "", EXIT_OK
 
 
-def cmd_phase_scan(args) -> int:
+def cmd_phase_scan(args) -> tuple:
     from . import phase
 
     data = _load_json(args.ensemble)
@@ -190,40 +182,29 @@ def cmd_phase_scan(args) -> int:
         "grid_resolution": scan.resolution,
         "pass": bool(entropy <= scan.min_entropy + ENTROPY_TOL),
     }
-    _emit_json(args, doc)
-    return EXIT_OK
+    return _json_text(doc), "", EXIT_OK
 
 
-def cmd_casestudy(args) -> int:
+def cmd_casestudy(args) -> tuple:
     from . import casestudy
 
     family = casestudy.build_sic_family()
     curve = casestudy.entropy_purity_curve(family, args.points)
-    lines = ["t,entropy_rho_t,purity_rho_t,entropy_rho_At"]
-    for pt in curve.points:
-        lines.append(
-            f"{pt.t:.12g},{pt.entropy_rho_t:.12g},"
-            f"{pt.purity_rho_t:.12g},{pt.entropy_rho_At:.12g}"
-        )
-    _write(args, "\n".join(lines) + "\n")
+    lines = ["t,entropy_rho_t,purity_rho_t,entropy_rho_At"] + [
+        f"{pt.t:.12g},{pt.entropy_rho_t:.12g},{pt.purity_rho_t:.12g},{pt.entropy_rho_At:.12g}"
+        for pt in curve.points
+    ]
     first, last = curve.points[0], curve.points[-1]
     gmin = curve.global_min()
-    print(
+    segments = "; ".join(f"{d} on [{a:g}, {b:g}]" for d, a, b in curve.monotone_segments())
+    summary = (
         f"endpoints: S(rho_t={first.t:g}) = {first.entropy_rho_t:.6f}, "
-        f"S(rho_t={last.t:g}) = {last.entropy_rho_t:.6f}",
-        file=sys.stderr,
-    )
-    print(
+        f"S(rho_t={last.t:g}) = {last.entropy_rho_t:.6f}\n"
         f"global minimum: t = {gmin.t:g}, entropy = {gmin.entropy_rho_t:.6f}, "
-        f"purity = {gmin.purity_rho_t:.6f}",
-        file=sys.stderr,
+        f"purity = {gmin.purity_rho_t:.6f}\n"
+        f"segments: {segments}\n"
     )
-    print(
-        "segments: "
-        + "; ".join(f"{d} on [{a:g}, {b:g}]" for d, a, b in curve.monotone_segments()),
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    return "\n".join(lines) + "\n", summary, EXIT_OK
 
 
 def _merge_case(weights, states, labels, j, k) -> dict:
@@ -246,7 +227,7 @@ def _merge_case(weights, states, labels, j, k) -> dict:
     }
 
 
-def cmd_merge_demo(args) -> int:
+def cmd_merge_demo(args) -> tuple:
     ket0 = PureState(np.array([1.0, 0.0]))
     ket1 = PureState(np.array([0.0, 1.0]))
     plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
@@ -270,8 +251,7 @@ def cmd_merge_demo(args) -> int:
         "pure_states": pure_case,
         "mixed_states": mixed_case,
     }
-    _emit_json(args, doc)
-    return EXIT_OK
+    return _json_text(doc), "", EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,16 +295,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, note, code = args.func(args)
     except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        report, note, code = None, f"parse error: {err}\n", EXIT_PARSE
     except (ValueError, IndexError, MemoryError) as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        report, note, code = None, f"validation error: {err}\n", EXIT_VALIDATION
+    try:
+        if report is not None and args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        elif report is not None:
+            sys.stdout.write(report)
+            sys.stdout.flush()
+        sys.stderr.write(note)
+        sys.stderr.flush()
+        return code
+    except OSError as err:
+        # A standard stream that still refuses its bytes is closed: the
+        # interpreter flushes both at exit and would turn 3 into 120.
+        for stream, text in ((sys.stderr, f"output error: {err}\n"), (sys.stdout, "")):
+            try:
+                stream.write(text)
+                stream.flush()
+            except OSError:
+                with contextlib.suppress(OSError):
+                    stream.close()
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import errno
 import hashlib
 import importlib
 import importlib.util
@@ -245,6 +246,18 @@ class TestQFactorize:
         assert code == 0 and out == ""
         doc = json.loads(out_path.read_text())
         assert doc["report"]["verified"] is True
+
+    def test_unverified_report_is_written_in_full(self, capsys, tmp_path):
+        # sqrt(0.1)**2 misses 0.1 by 1.4e-17, beyond --tol=1e-17: exit 2, and
+        # the report still goes out whole, the same bytes to stdout and --out.
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"inputs": ["a", "b"], "outputs": ["0", "1"], "rows": [[0.1, 0.9], [0.7, 0.3]]}))
+        code, out, err = run(capsys, "qfactorize", str(path), "--tol=1e-17")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["report"]["verified"] is False
+        out_path = tmp_path / "report.json"
+        assert run(capsys, "qfactorize", str(path), "--tol=1e-17", "--out", str(out_path)) == (2, "", "")
+        assert out_path.read_bytes() == out.encode()
 
 
 class TestHeatmap:
@@ -547,42 +560,122 @@ class TestDeterminism:
         # the 151-point casestudy digests were taken before the scan reduced on
         # the deltas and before purity ran over the whole curve.
         monkeypatch.chdir(tmp_path)
-        Path("rbsc.json").write_text(json.dumps(rbsc(0.3).to_json()))
-        Path("ens3.json").write_text(
-            json.dumps({"weights": [0.3, 0.3, 0.4], "a": [0.6, 0.8, 0.96], "b": [0.8, 0.6, 0.28]})
-        )
-        Path("ens6.json").write_text(
-            json.dumps({
-                "weights": [0.1, 0.15, 0.2, 0.25, 0.2, 0.1],
-                "a": [0.6, 0.8, 0.96, 0.28, 5 / 13, 8 / 17],
-                "b": [0.8, 0.6, 0.28, 0.96, 12 / 13, 15 / 17],
-            })
-        )
-        Path("ens12.json").write_text(
-            json.dumps({
-                "weights": [k / 78 for k in range(1, 13)],
-                "a": [3 / 5, 4 / 5, 5 / 13, 12 / 13, 8 / 17, 15 / 17,
-                      7 / 25, 24 / 25, 20 / 29, 21 / 29, 9 / 41, 40 / 41],
-                "b": [4 / 5, 3 / 5, 12 / 13, 5 / 13, 15 / 17, 8 / 17,
-                      24 / 25, 7 / 25, 21 / 29, 20 / 29, 40 / 41, 9 / 41],
-            })
-        )
-        a18 = [0.15 + 0.8 * k / 17 for k in range(18)]
-        Path("ens18.json").write_text(
-            json.dumps({
-                "weights": [k / 171 for k in range(1, 19)],
-                "a": a18,
-                "b": [math.sqrt(1 - x * x) for x in a18],
-            })
-        )
+        write_golden_inputs(tmp_path)
         for argv, digests in GOLDEN.items():
             code, out, err = run(capsys, *argv)
             assert code == 0
             assert (sha256(out), sha256(err)) == digests, argv
 
 
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def cli_child(argv, cwd=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """``python -m chanfactor.cli argv`` run to completion; its output as bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "chanfactor.cli", *argv],
+        cwd=cwd, stdout=stdout, stderr=stderr, env=child_env(), timeout=120,
+    )
+
+
+class TestEntryPointBytes:
+    def test_golden_digests_to_stdout_and_out(self, tmp_path):
+        # The GOLDEN bytes through the real entry point: once to stdout and
+        # once through --out, which must leave stdout empty and stderr as pinned.
+        write_golden_inputs(tmp_path)
+        out_path = tmp_path / "report.out"
+        for argv, (out_digest, err_digest) in GOLDEN.items():
+            done = cli_child(argv, cwd=tmp_path)
+            assert (done.returncode, sha256(done.stdout), sha256(done.stderr)) == (0, out_digest, err_digest), argv
+            done = cli_child([*argv, "--out", str(out_path)], cwd=tmp_path)
+            assert (done.returncode, done.stdout, sha256(done.stderr)) == (0, b"", err_digest), argv
+            assert sha256(out_path.read_bytes()) == out_digest, argv
+
+
+DEV_FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full on this system")
+
+
+class TestOutputFailures:
+    """A failed write exits 3 with one ``output error:`` line, never a traceback."""
+
+    @staticmethod
+    def assert_output_error(done, errno_code):
+        assert done.returncode == 3
+        (line,) = done.stderr.decode().splitlines()
+        assert line.startswith(f"output error: [Errno {errno_code}] ")
+
+    def test_out_is_a_directory(self, rbsc_file, tmp_path):
+        self.assert_output_error(cli_child(["factorize", rbsc_file, "--out", str(tmp_path)]), errno.EISDIR)
+
+    def test_out_in_a_missing_directory(self, tmp_path):
+        out_path = tmp_path / "missing" / "x.json"
+        self.assert_output_error(cli_child(["merge-demo", "--out", str(out_path)]), errno.ENOENT)
+        assert not out_path.parent.exists()
+
+    @needs_dev_full
+    def test_out_on_a_full_device(self):
+        self.assert_output_error(cli_child(["merge-demo", "--out", str(DEV_FULL)]), errno.ENOSPC)
+
+    @needs_dev_full
+    def test_stdout_on_a_full_device(self):
+        with DEV_FULL.open("wb") as full:
+            self.assert_output_error(cli_child(["merge-demo"], stdout=full), errno.ENOSPC)
+
+    @needs_dev_full
+    def test_stderr_on_a_full_device_after_the_report(self):
+        # The CSV goes out whole before the summary fails on stderr.
+        with DEV_FULL.open("wb") as full:
+            done = cli_child(["casestudy"], stderr=full)
+        assert done.returncode == 3
+        assert sha256(done.stdout) == GOLDEN[("casestudy", "--points", "151")][0]
+
+    @needs_dev_full
+    def test_stderr_on_a_full_device_after_a_parse_error(self, tmp_path):
+        with DEV_FULL.open("wb") as full:
+            done = cli_child(["factorize", str(tmp_path / "missing.json")], stderr=full)
+        assert (done.returncode, done.stdout) == (3, b"")
+
+    def test_stdout_pipe_closed_before_the_write(self):
+        # No process holds the reading end, so the write fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as closed_pipe:
+            done = cli_child(["heatmap", "--points", "101"], stdout=closed_pipe)
+        self.assert_output_error(done, errno.EPIPE)
+
+
+def write_golden_inputs(directory: Path) -> None:
+    """The input files the GOLDEN command lines name, relative to ``directory``."""
+    (directory / "rbsc.json").write_text(json.dumps(rbsc(0.3).to_json()))
+    (directory / "ens3.json").write_text(
+        json.dumps({"weights": [0.3, 0.3, 0.4], "a": [0.6, 0.8, 0.96], "b": [0.8, 0.6, 0.28]})
+    )
+    (directory / "ens6.json").write_text(
+        json.dumps({
+            "weights": [0.1, 0.15, 0.2, 0.25, 0.2, 0.1],
+            "a": [0.6, 0.8, 0.96, 0.28, 5 / 13, 8 / 17],
+            "b": [0.8, 0.6, 0.28, 0.96, 12 / 13, 15 / 17],
+        })
+    )
+    (directory / "ens12.json").write_text(
+        json.dumps({
+            "weights": [k / 78 for k in range(1, 13)],
+            "a": [3 / 5, 4 / 5, 5 / 13, 12 / 13, 8 / 17, 15 / 17,
+                  7 / 25, 24 / 25, 20 / 29, 21 / 29, 9 / 41, 40 / 41],
+            "b": [4 / 5, 3 / 5, 12 / 13, 5 / 13, 15 / 17, 8 / 17,
+                  24 / 25, 7 / 25, 21 / 29, 20 / 29, 40 / 41, 9 / 41],
+        })
+    )
+    a18 = [0.15 + 0.8 * k / 17 for k in range(18)]
+    (directory / "ens18.json").write_text(
+        json.dumps({
+            "weights": [k / 171 for k in range(1, 19)],
+            "a": a18,
+            "b": [math.sqrt(1 - x * x) for x in a18],
+        })
+    )
+
+
+def sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
 EMPTY = sha256("")
