@@ -153,19 +153,22 @@ class EntropyPurityCurve(NamedTuple):
         return np.array([p.entropy_rho_t for p in self.points])
 
     def global_min(self) -> CurvePoint:
-        return min(self.points, key=lambda p: p.entropy_rho_t)
+        """The first point of least entropy."""
+        return self.points[int(np.argmin(self.entropies))]
 
     def monotone_segments(self) -> tuple:
-        """Runs of strictly rising/falling entropy as (direction, t_from, t_to)."""
-        s = self.entropies
-        segments = []
-        for i in range(1, len(s)):
-            direction = "rising" if s[i] > s[i - 1] else "falling"
-            if segments and segments[-1][0] == direction:
-                segments[-1] = (direction, segments[-1][1], self.points[i].t)
-            else:
-                segments.append((direction, self.points[i - 1].t, self.points[i].t))
-        return tuple(segments)
+        """Runs of rising and falling entropy as (direction, t_from, t_to).
+
+        A step counts as rising only when the entropy strictly increases; a
+        run ends where the direction flips.
+        """
+        rising = np.diff(self.entropies) > 0
+        cuts = (np.flatnonzero(rising[1:] != rising[:-1]) + 1).tolist()
+        return tuple(
+            ("rising" if rising[a] else "falling", self.points[a].t, self.points[b].t)
+            for a, b in zip([0, *cuts], [*cuts, rising.size])
+            if a < b
+        )
 
 
 def entropy_purity_curve(f: SicFamily, n_points: int = 151) -> EntropyPurityCurve:
@@ -184,10 +187,8 @@ def entropy_purity_curve(f: SicFamily, n_points: int = 151) -> EntropyPurityCurv
     rho_t = _mixture([0.5, 0.5], [rho_at, f.rho_b.matrix])
     s_at = _entropy_bits(_density_spectrum(rho_at)) + 0.0  # + 0.0 normalizes -0.0
     s_t = _entropy_bits(_density_spectrum(rho_t)) + 0.0
-    return EntropyPurityCurve(tuple(
-        CurvePoint(t, s, p, s_a)
-        for t, s, p, s_a in zip(ts.tolist(), s_t.tolist(), purity(rho_t).tolist(), s_at.tolist())
-    ))
+    columns = (ts, s_t, purity(rho_t), s_at)
+    return EntropyPurityCurve(tuple(map(CurvePoint._make, zip(*(c.tolist() for c in columns)))))
 
 
 def _traceless_hermitian_basis() -> list:

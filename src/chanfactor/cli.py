@@ -9,14 +9,17 @@ byte-identical bytes on every run.
 Each ``cmd_*`` returns (report, stderr summary, exit code); ``main`` alone
 writes them and maps every failure to an exit code: 0 success, 2 validation
 failure (an input too large to allocate included), 3 parse or I/O error. A
-failed ``--out`` write may leave a partial file.
+failed ``--out`` write may leave a partial file. ``run``, the entry point,
+flushes both streams and ends the process with ``os._exit``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -45,7 +48,7 @@ from .qfactor import (
     von_neumann_entropy,
 )
 
-__all__ = ["ParseError", "build_parser", "main"]
+__all__ = ["ParseError", "build_parser", "main", "run"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -147,10 +150,11 @@ def cmd_heatmap(args) -> tuple:
     ps = np.linspace(0.0, 1.0, p_steps)
     alphas = np.linspace(0.0, 1.0, alpha_steps)
     grid = advantage_grid(ps, alphas)
+    alpha_texts = [repr(a) for a in alphas.tolist()]
     lines = ["p,alpha,advantage"]
-    for i, p in enumerate(ps):
-        for j, a in enumerate(alphas):
-            lines.append(f"{float(p)!r},{float(a)!r},{float(grid[i, j])!r}")
+    for p, row in zip(ps.tolist(), grid.tolist()):
+        p_text = repr(p)
+        lines += [f"{p_text},{a},{v!r}" for a, v in zip(alpha_texts, row)]
     return "\n".join(lines) + "\n", "", EXIT_OK
 
 
@@ -190,10 +194,8 @@ def cmd_casestudy(args) -> tuple:
 
     family = casestudy.build_sic_family()
     curve = casestudy.entropy_purity_curve(family, args.points)
-    lines = ["t,entropy_rho_t,purity_rho_t,entropy_rho_At"] + [
-        f"{pt.t:.12g},{pt.entropy_rho_t:.12g},{pt.purity_rho_t:.12g},{pt.entropy_rho_At:.12g}"
-        for pt in curve.points
-    ]
+    lines = ["t,entropy_rho_t,purity_rho_t,entropy_rho_At"]
+    lines += ["%.12g,%.12g,%.12g,%.12g" % pt for pt in curve.points]
     first, last = curve.points[0], curve.points[-1]
     gmin = curve.global_min()
     segments = "; ".join(f"{d} on [{a:g}, {b:g}]" for d, a, b in curve.monotone_segments())
@@ -294,6 +296,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(stream, text: str) -> None:
+    """Write text to a standard stream and flush it. The interpreter sets a
+    stream to None when its descriptor was closed before start-up; writing
+    to it then fails as a write to a closed descriptor does."""
+    if stream is None:
+        if text:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        return
+    stream.write(text)
+    stream.flush()
+
+
+def _output_error(err: OSError) -> int:
+    """Report a failed write in one ``output error:`` line on stderr, if
+    stderr still takes it, and return the exit code of an I/O error.
+
+    A standard stream that still refuses its bytes is closed: an interpreter
+    that flushes both at exit would otherwise turn 3 into 120.
+    """
+    for stream, text in ((sys.stderr, f"output error: {err}\n"), (sys.stdout, "")):
+        if stream is None or stream.closed:
+            continue
+        try:
+            _write(stream, text)
+        except OSError:
+            with contextlib.suppress(OSError):
+                stream.close()
+    return EXIT_PARSE
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -307,23 +339,33 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(report)
         elif report is not None:
-            sys.stdout.write(report)
-            sys.stdout.flush()
-        sys.stderr.write(note)
-        sys.stderr.flush()
+            _write(sys.stdout, report)
+        _write(sys.stderr, note)
         return code
     except OSError as err:
-        # A standard stream that still refuses its bytes is closed: the
-        # interpreter flushes both at exit and would turn 3 into 120.
-        for stream, text in ((sys.stderr, f"output error: {err}\n"), (sys.stdout, "")):
-            try:
-                stream.write(text)
+        return _output_error(err)
+
+
+def run() -> None:
+    """The ``chanfactor`` entry point: ``main``, a flush of stdout and
+    stderr, then ``os._exit`` with the exit code, so that no process pays
+    for interpreter teardown.
+
+    argparse's own exits end here too: 0 after ``--help``, 2 after a usage
+    error. A flush that fails exits 3 as any failed write does.
+    """
+    try:
+        code = main()
+    except SystemExit as done:
+        code = 0 if done.code is None else done.code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None and not stream.closed:
                 stream.flush()
-            except OSError:
-                with contextlib.suppress(OSError):
-                    stream.close()
-        return EXIT_PARSE
+    except OSError as err:
+        code = _output_error(err)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -9,11 +9,12 @@ phase differences are multiples of pi; the all-equal configuration is the
 minimum. ``optimal_phases`` returns that configuration, and the grid /
 sign-pattern scanners provide independent verification of it.
 
-The scanners reduce on delta as well: ``grid_scan`` takes the smallest
-delta of its grid and evaluates the entropy only on the points within
-``DELTA_WINDOW`` of it. That returns exactly the point a full evaluation
-would, because the entropy's slope in delta is at least 2/ln 2, so the
-window's 1e-12 in delta is worth far more than the entropy's round-off.
+The scanners reduce on delta as well: ``grid_scan`` evaluates the exact
+delta and the entropy only on the points within ``DELTA_WINDOW`` of the
+smallest delta, found through one complex sum per grid point. That returns
+exactly the point a full evaluation would, because the entropy's slope in
+delta is at least 2/ln 2, so the window's 1e-12 in delta is worth far more
+than the entropy's round-off.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ MAX_SIGN_STATES = 24
 # grid_scan evaluates the entropy only within this absolute distance of the
 # smallest delta; its docstring says why the result is exact.
 DELTA_WINDOW = 1e-12
-# grid_scan takes the candidates from this many grid points at a time, so its
-# entropy temporaries stay small however many points tie.
-SCAN_CHUNK = 1 << 12
+# grid_scan works through blocks of about this many grid points, so its
+# temporaries stay small however many points tie.
+SCAN_CHUNK = 1 << 13
 
 
 class DegenerateMagnitudes(ValueError):
@@ -171,27 +172,48 @@ class GridScan(NamedTuple):
     resolution: int
 
 
+def _grid_axis(e: PhasedQubitEnsemble, resolution: int) -> np.ndarray:
+    """The axis ``arange(resolution) * 2pi / resolution`` of the phase grid.
+
+    Refuses a resolution below 1, and more than ``MAX_SIGN_STATES`` states,
+    before anything of the grid's size is allocated.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    if e.size > MAX_SIGN_STATES:
+        raise ValueError(
+            f"the phase grid runs for at most {MAX_SIGN_STATES} states; this ensemble has {e.size}"
+        )
+    return np.arange(resolution) * (2 * np.pi / resolution)
+
+
 def _phase_grid(e: PhasedQubitEnsemble, resolution: int) -> tuple:
     """The grid axis and the delta at every point of the phase grid.
 
     The first phase is fixed at 0 (a global phase shifts all states
     together and leaves the average state's spectrum untouched), so the
-    grid has resolution^(N-1) points on the axis
-    ``arange(resolution) * 2pi / resolution``. Phase j >= 1 is one column
-    along grid axis j-1, of length 1 on the others, so the deltas are the
-    only array of the grid's size. Refuses more than ``MAX_SIGN_STATES``
-    states before allocating anything.
+    grid has resolution^(N-1) points on ``_grid_axis``. Phase j >= 1 is one
+    column along grid axis j-1, of length 1 on the others, so the deltas
+    are the only array of the grid's size.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+    axis = _grid_axis(e, resolution)
     n = e.size
-    if n > MAX_SIGN_STATES:
-        raise ValueError(
-            f"the phase grid runs for at most {MAX_SIGN_STATES} states; this ensemble has {n}"
-        )
-    axis = np.arange(resolution) * (2 * np.pi / resolution)
     columns = [0.0] + [axis.reshape((-1,) + (1,) * (n - 1 - j)) for j in range(1, n)]
     return axis, _delta_of_phases(e, columns)
+
+
+def _outer_sums(start: float, terms: list) -> np.ndarray:
+    """start + t_1[i_1] + ... + t_m[i_m] over every index tuple, in C order."""
+    sums = np.array([start])
+    for t in terms:
+        sums = np.add.outer(sums, t).ravel()
+    return sums
+
+
+def _phase_sum_eps(c: np.ndarray) -> float:
+    """The bound eps of ``grid_scan`` for the coefficients c_j = w_j a_j b_j."""
+    n = c.size
+    return 2.0**-53 * (n * n + float(c.sum()) ** 2 * (4 * n + 30))
 
 
 def grid_scan(e: PhasedQubitEnsemble, resolution: int) -> GridScan:
@@ -201,40 +223,93 @@ def grid_scan(e: PhasedQubitEnsemble, resolution: int) -> GridScan:
     is the set of stationary configurations phi_j in {0, pi}; finer grids
     are intended for N <= 3, since the cost grows exponentially.
 
-    The result is the first grid point, in C order, of least entropy. The
-    entropy is evaluated only on the candidates whose delta lies within
-    ``DELTA_WINDOW`` (1e-12) of the smallest delta, and this is exact: the
-    true entropy rises with delta at a slope of at least 2/ln 2, so every
-    point beyond the window has an entropy at least 2.9e-12 bits above the
+    The result is the first grid point, in C order, of least entropy, with
+    the entropy and delta that ``entropy_from_delta`` and
+    ``_delta_of_phases`` give there: exactly what evaluating the entropy at
+    every point of ``_phase_grid`` gives. Only candidates get that exact
+    evaluation.
+
+    *Which points can win.* The true entropy rises with delta at a slope of
+    at least 2/ln 2, so a point whose delta exceeds the grid's smallest by
+    ``DELTA_WINDOW`` (1e-12) has an entropy at least 2.9e-12 bits above the
     minimum's, while the round-off of the computed entropy (sqrt, log2, and
     the clip of round-off deltas outside [0, 1/4]) stays well below 1e-13
-    bits. Such a point can neither be the minimum nor tie with it, so the
-    first minimum among the candidates is the first minimum over the whole
-    grid. The candidates are taken ``SCAN_CHUNK`` grid points at a time, and
-    a later chunk replaces the running minimum only with a strictly smaller
-    entropy; so besides the delta array, which ``_delta_of_phases`` builds
-    with one scratch array of its size, the scan holds only chunk-sized
-    arrays, even on a grid where every point ties.
+    bits. So every point of least computed entropy has a delta within
+    ``DELTA_WINDOW`` of the smallest, and hence of d_0, the delta of the
+    first grid point (all phases 0). Any superset of those points, scanned
+    in C order, has the same first minimum as the whole grid.
+
+    *Candidates from one complex sum.* With c_j = w_j a_j b_j,
+    delta(phi) = K + sum_j c_j^2 - s(phi), where s = |sum_j c_j e^{i phi_j}|^2
+    and K = sum_{j<k} w_j w_k (a_j^2 b_k^2 + a_k^2 b_j^2) is the same at
+    every point. The scan computes s as Re^2 + Im^2, Re and Im being outer
+    sums of per-state cosine and sine columns, and takes as candidates the
+    points with s >= s_0 - (``DELTA_WINDOW`` + 2 eps), s_0 being the first
+    point's. If every point has |(s - |z|^2)| + |d - D| <= eps, where z is
+    the exact sum and D the exact delta, then s_0 - s <= d - d_0 + 2 eps,
+    and the candidates are such a superset.
+
+    *The bound eps* (u = 2^-53, S = sum_j c_j <= 1/2, N states, numpy's
+    float64 cos and sin taken as within 4 ulp, and D built from the
+    computed pair constants, whose sum K' + S^2 is at most 1):
+    - ``_delta_of_phases`` adds N(N-1) terms of total magnitude at most 1,
+      off by at most gamma_{N(N-1)} <= 1.01 N(N-1) u; each pair term
+      2 c_j c_k cos(phi_k - phi_j) is off by at most
+      2 c_j c_k (2pi + 4 + 2) u (1.01), the rounding of the phase
+      difference included, at most 12.4 S^2 u over all pairs;
+    - Re and Im are each within S (5 + N) u (1.02) of the exact sums (each
+      term's cosine or sine and product, then N - 1 additions in any
+      order), which moves Re^2 + Im^2 by at most 3 S^2 (5 + N) u (1.02);
+      the two squares and their sum add 2.1 S^2 u;
+    - the floor's own subtraction rounds by at most S^2 u.
+    eps = u (N^2 + S^2 (4 N + 30)) covers all of these: at most 6.7e-14 at
+    24 states, against the window's 1e-12.
+
+    The scan holds the per-state sums over a leading and a trailing group of
+    grid axes, and one block of about ``SCAN_CHUNK`` grid points at a time.
+    A later block replaces the running minimum only with a strictly smaller
+    entropy, so the first minimum wins even on a grid where every point
+    ties.
     """
-    axis, deltas = _phase_grid(e, resolution)
-    flat = deltas.reshape(-1)
-    bound = flat.min() + DELTA_WINDOW
-    min_entropy, best = np.inf, 0
-    for start in range(0, flat.size, SCAN_CHUNK):
-        chunk = flat[start : start + SCAN_CHUNK]
-        candidates = np.flatnonzero(chunk <= bound)
-        if candidates.size:
-            entropies = entropy_from_delta(chunk[candidates])
-            i = int(np.argmin(entropies))
-            if entropies[i] < min_entropy:
-                min_entropy, best = float(entropies[i]), start + int(candidates[i])
-    idx = np.unravel_index(best, deltas.shape)
-    return GridScan(
-        min_entropy,
-        float(deltas[idx]),
-        _freeze([0.0] + [axis[i] for i in idx]),
-        resolution,
-    )
+    axis = _grid_axis(e, resolution)
+    n, dims = e.size, e.size - 1
+    c = e.weights * e.a * e.b
+    trailing = 0
+    while trailing < dims and resolution ** (trailing + 1) <= SCAN_CHUNK:
+        trailing += 1
+    lead = dims - trailing
+    cos_axis, sin_axis = np.cos(axis), np.sin(axis)
+    re_lead = _outer_sums(c[0], [c[j] * cos_axis for j in range(1, lead + 1)])
+    im_lead = _outer_sums(0.0, [c[j] * sin_axis for j in range(1, lead + 1)])
+    re_tail = _outer_sums(0.0, [c[j] * cos_axis for j in range(lead + 1, n)])
+    im_tail = _outer_sums(0.0, [c[j] * sin_axis for j in range(lead + 1, n)])
+    s_0 = (re_lead[0] + re_tail[0]) ** 2 + (im_lead[0] + im_tail[0]) ** 2
+    floor = s_0 - (DELTA_WINDOW + 2 * _phase_sum_eps(c))
+    # A block is `rows` leading indices by the whole trailing grid.
+    rows = max(1, SCAN_CHUNK // re_tail.size)
+    tail_columns = [axis.reshape((1,) * (q + 1) + (-1,) + (1,) * (trailing - 1 - q)) for q in range(trailing)]
+    min_entropy, best, min_delta = np.inf, 0, 0.0
+    for start in range(0, re_lead.size, rows):
+        re = np.add.outer(re_lead[start : start + rows], re_tail).ravel()
+        im = np.add.outer(im_lead[start : start + rows], im_tail).ravel()
+        re *= re
+        im *= im
+        re += im
+        candidates = np.flatnonzero(re >= floor)
+        if not candidates.size:
+            continue
+        # The pair form on the whole block: its trailing phases broadcast as
+        # in _phase_grid, so each pair takes few cosines.
+        lead_index = np.arange(start, start + re.size // re_tail.size).reshape((-1,) + (1,) * trailing)
+        lead_columns = [axis[lead_index // resolution ** (lead - j) % resolution] for j in range(1, lead + 1)]
+        deltas = _delta_of_phases(e, [0.0, *lead_columns, *tail_columns]).reshape(-1)[candidates]
+        entropies = entropy_from_delta(deltas)
+        i = int(np.argmin(entropies))
+        if entropies[i] < min_entropy:
+            min_entropy, min_delta = float(entropies[i]), float(deltas[i])
+            best = start * re_tail.size + int(candidates[i])
+    idx = np.unravel_index(best, (resolution,) * dims)
+    return GridScan(min_entropy, min_delta, _freeze([0.0] + [axis[i] for i in idx]), resolution)
 
 
 def sign_pattern_deltas(e: PhasedQubitEnsemble) -> np.ndarray:

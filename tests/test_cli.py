@@ -641,6 +641,39 @@ class TestOutputFailures:
             done = cli_child(["heatmap", "--points", "101"], stdout=closed_pipe)
         self.assert_output_error(done, errno.EPIPE)
 
+    def test_stdout_closed_before_start_up(self):
+        # The interpreter sets sys.stdout to None when descriptor 1 is closed.
+        done = subprocess.run(
+            [sys.executable, "-m", "chanfactor.cli", "merge-demo"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=child_env(), timeout=120,
+            preexec_fn=lambda: os.close(1),
+        )
+        self.assert_output_error(done, errno.EBADF)
+
+
+class TestRunEntryPoint:
+    """``cli.run`` ends argparse's exits as well as ``main``'s."""
+
+    def test_help_exits_0_on_stdout(self):
+        done = cli_child(["--help"])
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.startswith(b"usage: chanfactor ")
+        assert b"show this help message and exit" in done.stdout
+
+    def test_usage_error_exits_2(self):
+        done = cli_child(["heatmap", "--points", "x"])
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(b"usage: chanfactor heatmap ")
+        assert done.stderr.endswith(b"chanfactor heatmap: error: argument --points: invalid int value: 'x'\n")
+        assert b"Traceback" not in done.stderr
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"chanfactor": "chanfactor.cli:run"}
+
 
 def write_golden_inputs(directory: Path) -> None:
     """The input files the GOLDEN command lines name, relative to ``directory``."""

@@ -37,6 +37,17 @@ DIGESTS = {
     ("many-classes", "qfactorize"): (
         "46e71270d33235c94d3868877f51e0ae23de2f706e1857a7d63957c691f03530", EMPTY),
 }
+# The same for the sweeps commands at the benchmark's own sizes: heatmap
+# --points 101, casestudy --points 10001 and the 3- and 18-state scans.
+SWEEPS_DIGESTS = {
+    "heatmap": ("bd0722950e19e45e4c06f24f8cee3f78fcc4d507f008b88c90c6633e470f2dd6", EMPTY),
+    "casestudy": (
+        "c9929146ff258f31cd59a12d7e17d85754a5f331f76e0ec31159b19460a16acf",
+        "7d91cf725bb06cb351c9f889a14133dd6ca3e4501680c6fc0e86b4c0145e6830"),
+    "phase-scan-grid": ("948b67d9bc2336f7db65ad0701f867fcaa3dc54fff3a8dde878f3234f0c7d982", EMPTY),
+    "phase-scan-signs": ("63a1f28edc6ecbda06be77b2c72e96679a81de912fdf2ab28937c9d10237e685", EMPTY),
+    "merge-demo": ("afc6ef36ee9f05051b475cc6d139760df20db785e2f20c60ce8bfc585511b748", EMPTY),
+}
 
 
 def check_all(capsys, invocations):
@@ -68,3 +79,13 @@ def test_sweeps(capsys, tmp_path):
     invocations = workloads.build("sweeps", 1, tmp_path)
     assert len(invocations) == 5
     check_all(capsys, invocations)
+
+
+def test_sweeps_digests(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    invocations = workloads.build("sweeps", 1, Path("work"))
+    for inv in invocations:
+        assert main(list(inv.argv)) == 0
+        captured = capsys.readouterr()
+        assert (sha256(captured.out), sha256(captured.err)) == SWEEPS_DIGESTS[inv.name], inv.name
+    assert [inv.name for inv in invocations] == list(SWEEPS_DIGESTS)

@@ -452,6 +452,30 @@ class TestDeltaReduction:
             resolution = 2 if n > 4 else int(rng.choice([2, 3, 4, 7]))
             self.assert_full_reduction(kind_ensemble(rng, n, "nearly-mixed"), resolution)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    def test_wide_sign_grid(self, n, kind):
+        # 20 states are 524,288 sign patterns; the equal-weight and dead
+        # kinds tie there in bulk.
+        rng = np.random.default_rng([743, n, KINDS.index(kind)])
+        self.assert_full_reduction(kind_ensemble(rng, n, kind), 2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_phase_sums_stay_within_eps(self, kind):
+        # grid_scan's candidates are exact as long as every grid point has
+        # |(s_0 - s) - (d - d_0)| <= 2 eps, s = |sum_j c_j e^{i phi_j}|^2 taken
+        # from cosine and sine columns and d from the pair form.
+        rng = np.random.default_rng([751, KINDS.index(kind)])
+        for n, resolution in [(2, 360), (3, 72), (3, 720), (8, 4), (14, 2), (18, 2)]:
+            e = kind_ensemble(rng, n, kind)
+            c = e.weights * e.a * e.b
+            axis, deltas = phase._phase_grid(e, resolution)
+            d = deltas.ravel()
+            re = phase._outer_sums(c[0], [c[j] * np.cos(axis) for j in range(1, n)])
+            im = phase._outer_sums(0.0, [c[j] * np.sin(axis) for j in range(1, n)])
+            s = re * re + im * im
+            assert np.abs((s[0] - s) - (d - d[0])).max() <= 2 * phase._phase_sum_eps(c)
+
     def test_kernels_keep_their_values(self):
         rng = np.random.default_rng(727)
         digest = hashlib.sha256()
