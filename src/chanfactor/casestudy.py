@@ -219,8 +219,8 @@ def m8_constraint_rank(f: SicFamily) -> tuple:
     """
     basis = _traceless_hermitian_basis()
     a = _born(f.povm_m8.elements, np.stack(basis)).T
-    rank = int(np.linalg.matrix_rank(a, tol=RANK_TOL))
-    _, _, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(a)
+    rank = int((s > RANK_TOL).sum())
     coeffs = vh[-1]
     direction = sum(c * bm for c, bm in zip(coeffs, basis))
     direction = direction / np.abs(direction).max()

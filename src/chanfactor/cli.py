@@ -9,8 +9,9 @@ byte-identical bytes on every run.
 Each ``cmd_*`` returns (report, stderr summary, exit code); ``main`` alone
 writes them and maps every failure to an exit code: 0 success, 2 validation
 failure (an input too large to allocate included), 3 parse or I/O error. A
-failed ``--out`` write may leave a partial file. ``run``, the entry point,
-flushes both streams and ends the process with ``os._exit``.
+failed ``--out`` write may leave a partial file. Every byte on stdout or
+stderr, argparse's help, usage and error text included, goes through
+``_write``. ``run``, the entry point, ends the process with ``os._exit``.
 """
 
 from __future__ import annotations
@@ -256,8 +257,16 @@ def cmd_merge_demo(args) -> tuple:
     return _json_text(doc), "", EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's help, usage and error text go through ``_write``, so that a
+    failed write raises instead of being dropped. Subparsers inherit it."""
+
+    def _print_message(self, message, file=None):
+        _write(file, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chanfactor",
         description="Factorize classical channels through minimal classical "
         "and quantum intermediate variables.",
@@ -310,31 +319,21 @@ def _write(stream, text: str) -> None:
 
 def _output_error(err: OSError) -> int:
     """Report a failed write in one ``output error:`` line on stderr, if
-    stderr still takes it, and return the exit code of an I/O error.
-
-    A standard stream that still refuses its bytes is closed: an interpreter
-    that flushes both at exit would otherwise turn 3 into 120.
-    """
-    for stream, text in ((sys.stderr, f"output error: {err}\n"), (sys.stdout, "")):
-        if stream is None or stream.closed:
-            continue
-        try:
-            _write(stream, text)
-        except OSError:
-            with contextlib.suppress(OSError):
-                stream.close()
+    stderr still takes it, and return the exit code of an I/O error."""
+    with contextlib.suppress(OSError):
+        _write(sys.stderr, f"output error: {err}\n")
     return EXIT_PARSE
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        report, note, code = args.func(args)
-    except ParseError as err:
-        report, note, code = None, f"parse error: {err}\n", EXIT_PARSE
-    except (ValueError, IndexError, MemoryError) as err:
-        report, note, code = None, f"validation error: {err}\n", EXIT_VALIDATION
-    try:
+        args = build_parser().parse_args(argv)
+        try:
+            report, note, code = args.func(args)
+        except ParseError as err:
+            report, note, code = None, f"parse error: {err}\n", EXIT_PARSE
+        except (ValueError, IndexError, MemoryError) as err:
+            report, note, code = None, f"validation error: {err}\n", EXIT_VALIDATION
         if report is not None and args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(report)
@@ -347,23 +346,17 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The ``chanfactor`` entry point: ``main``, a flush of stdout and
-    stderr, then ``os._exit`` with the exit code, so that no process pays
-    for interpreter teardown.
+    """The ``chanfactor`` entry point: ``main``, then ``os._exit`` with the
+    exit code, so that no process pays for interpreter teardown. Each write
+    was flushed as it was made, so nothing is left to flush.
 
     argparse's own exits end here too: 0 after ``--help``, 2 after a usage
-    error. A flush that fails exits 3 as any failed write does.
+    error.
     """
     try:
         code = main()
     except SystemExit as done:
         code = 0 if done.code is None else done.code
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None and not stream.closed:
-                stream.flush()
-    except OSError as err:
-        code = _output_error(err)
     os._exit(code)
 
 

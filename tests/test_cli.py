@@ -4,6 +4,7 @@ import errno
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -567,12 +568,19 @@ class TestDeterminism:
             assert (sha256(out), sha256(err)) == digests, argv
 
 
-def cli_child(argv, cwd=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+def cli_child(argv, cwd=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=None):
     """``python -m chanfactor.cli argv`` run to completion; its output as bytes."""
     return subprocess.run(
         [sys.executable, "-m", "chanfactor.cli", *argv],
-        cwd=cwd, stdout=stdout, stderr=stderr, env=child_env(), timeout=120,
+        cwd=cwd, stdout=stdout, stderr=stderr, env=child_env() if env is None else env, timeout=120,
     )
+
+
+def buffering_env(unbuffered: bool) -> dict:
+    """``child_env`` with PYTHONUNBUFFERED set to 1, or unset."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
 
 
 class TestEntryPointBytes:
@@ -673,6 +681,36 @@ class TestRunEntryPoint:
         with pyproject.open("rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts == {"chanfactor": "chanfactor.cli:run"}
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+class TestArgparseOutputFailures:
+    """argparse's help, usage and error text fail as any write does: exit 3,
+    whether or not the standard streams are buffered."""
+
+    def test_help_on_a_full_device(self, unbuffered):
+        with DEV_FULL.open("wb") as full:
+            done = cli_child(["--help"], stdout=full, env=buffering_env(unbuffered))
+        TestOutputFailures.assert_output_error(done, errno.ENOSPC)
+
+    def test_usage_error_on_a_full_device(self, unbuffered):
+        with DEV_FULL.open("wb") as full:
+            done = cli_child(["heatmap", "--points", "x"], stderr=full, env=buffering_env(unbuffered))
+        assert (done.returncode, done.stdout) == (3, b"")
+
+
+class FailingFlush(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_flush_returns_3_and_leaves_the_stream_open(capsys, monkeypatch):
+    out = FailingFlush()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["merge-demo"]) == 3
+    assert not out.closed
+    assert capsys.readouterr().err == f"output error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def write_golden_inputs(directory: Path) -> None:
