@@ -306,12 +306,18 @@ def pushforward(d, p: Partition) -> InputDistribution:
     )
 
 
+def _bhattacharyya(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k sqrt(a_k b_k) over the last axis of the broadcast ``a`` and ``b``,
+    round-off negatives clipped to 0."""
+    return np.sqrt(np.clip(a, 0, None) * np.clip(b, 0, None)).sum(axis=-1)
+
+
 def classical_fidelity(q1, q2) -> float:
     """Bhattacharyya coefficient sum_k sqrt(q1_k q2_k) in [0, 1]."""
     a, b = _probs(q1), _probs(q2)
     if a.size != b.size:
         raise AlphabetMismatch(f"distributions over {a.size} vs {b.size} outcomes")
-    return float(np.sqrt(np.clip(a, 0, None) * np.clip(b, 0, None)).sum())
+    return float(_bhattacharyya(a, b))
 
 
 class FactorizationCheck(NamedTuple):

@@ -77,12 +77,13 @@ def purity(m) -> np.ndarray | float:
     """tr(m²) for Hermitian m, or for each matrix of a (..., d, d) stack;
     equals the squared Frobenius norm.
 
-    Each value is conj(r) @ r over the matrix flattened to a row r, which
-    gives the same bits as ``np.vdot(m, m).real``; a float for one matrix.
+    Each value is ``np.vecdot`` of the matrix flattened to a vector with
+    itself, which gives the same bits as ``np.vdot(m, m).real``; a float for
+    one matrix.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    rows = a.reshape(a.shape[:-2] + (1, a.shape[-1] ** 2))
-    p = (rows.conj() @ rows.swapaxes(-1, -2))[..., 0, 0].real
+    rows = a.reshape(a.shape[:-2] + (a.shape[-1] ** 2,))
+    p = np.vecdot(rows, rows).real
     return float(p) if p.ndim == 0 else p

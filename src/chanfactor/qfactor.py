@@ -23,6 +23,7 @@ from .channel import (
     AlphabetMismatch,
     Channel,
     Partition,
+    _bhattacharyya,
     _class_row_violations,
     _number_array,
     _positive_entropy,
@@ -134,9 +135,10 @@ def _born(elements: np.ndarray, matrices: np.ndarray) -> np.ndarray:
 
 
 def _overlaps(e: "Ensemble") -> np.ndarray:
-    """<psi_i|psi_j> of every pair of the ensemble's pure witnesses."""
+    """<psi_i|psi_j> of every pair of the ensemble's pure witnesses, each
+    with the bits of ``PureState.overlap``: ``np.vecdot`` per pair."""
     a = np.stack([p.amplitudes for p in e.pure_states])
-    return a.conj() @ a.T
+    return np.vecdot(a[:, None, :], a[None, :, :])
 
 
 class PureState(_checked_record("PureState", "amplitudes")):
@@ -162,7 +164,7 @@ class PureState(_checked_record("PureState", "amplitudes")):
         """Inner product <self|other>."""
         if self.dim != other.dim:
             raise DimensionMismatch(f"dims {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return complex(np.vecdot(self.amplitudes, other.amplitudes))
 
 
 class DensityMatrix(_checked_record("DensityMatrix", "matrix pure")):
@@ -426,17 +428,18 @@ def quantum_fidelity(s1, s2) -> float:
     Reduces to |<psi|phi>| when both states carry pure witnesses and to
     sqrt(<psi|s2|psi>) when one does; those paths are exact to round-off,
     whereas the general path inherits sqrt-of-eps noise from the
-    rank-deficient matrix square roots.
+    rank-deficient matrix square roots. Every path is clamped at 1, which a
+    witness within STATE_TOL of unit norm can otherwise exceed.
     """
     a, b = _as_density(s1), _as_density(s2)
     if a.dim != b.dim:
         raise DimensionMismatch(f"dims {a.dim} vs {b.dim}")
     if a.pure is not None and b.pure is not None:
-        return float(abs(a.pure.overlap(b.pure)))
+        return float(min(abs(a.pure.overlap(b.pure)), 1.0))
     if a.pure is not None or b.pure is not None:
         psi, rho = (a.pure, b) if a.pure is not None else (b.pure, a)
         v = psi.amplitudes
-        return float(np.sqrt(max(np.vdot(v, rho.matrix @ v).real, 0.0)))
+        return float(min(np.sqrt(max(np.vecdot(v, rho.matrix @ v).real, 0.0)), 1.0))
     # _as_density bounds a's asymmetry by STATE_TOL and its eigenvalues below by -EIG_CLAMP: nothing to check.
     w, v = np.linalg.eigh((a.matrix + a.matrix.conj().T) / 2)
     w, v = w[::-1], v[:, ::-1]  # largest first: the order of the sum below fixes the fidelity's last bits
@@ -531,17 +534,17 @@ def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) ->
     of the corresponding channel rows for every class pair i < j.
 
     The Bhattacharyya coefficients of class i against all later classes
-    come from one array step, with the same arithmetic as
-    ``classical_fidelity``. Pairs are listed in row-major order of (i, j).
+    come from one call of ``classical_fidelity``'s kernel. Pairs are listed
+    in row-major order of (i, j).
     """
     _check_tol(tol)
     reps = q.partition.representatives
     labels = [c.inputs[r] for r in reps]
-    rows = np.clip(c.matrix[list(reps)], 0, None)
+    rows = c.matrix[list(reps)]
     pairs = []
     ok = True
     for i, si in enumerate(q.signals):
-        f_classical = np.sqrt(rows[i] * rows[i + 1 :]).sum(axis=1).tolist()
+        f_classical = _bhattacharyya(rows[i], rows[i + 1 :]).tolist()
         for j, fc in enumerate(f_classical, start=i + 1):
             fq = quantum_fidelity(si, q.signals[j])
             slack = fc - fq

@@ -29,6 +29,7 @@ from chanfactor.qfactor import (
     PureState,
     QFactorization,
     _density_spectrum,
+    _overlaps,
     advantage_grid,
     average_state,
     fidelity_bound_check,
@@ -610,6 +611,15 @@ class TestQuantumFidelity:
         with pytest.raises(DimensionMismatch):
             quantum_fidelity(maximally_mixed(2), maximally_mixed(3))
 
+    def test_every_route_is_clamped_at_one(self):
+        # The witness's norm 1 + 5e-11 is within STATE_TOL, so its overlap with itself is 1 + 1e-10.
+        s = DensityMatrix.from_pure(PureState([1 + 5e-11, 0]))
+        bare = DensityMatrix(s.matrix)
+        assert quantum_fidelity(s, s) == 1.0
+        assert quantum_fidelity(s, bare) == 1.0
+        assert quantum_fidelity(bare, s) == 1.0
+        assert quantum_fidelity(bare, bare) == 1.0
+
 
 class TestMerge:
     def test_worked_three_state_example(self):
@@ -749,10 +759,59 @@ class TestOverlapKernel:
             assert np.array_equal(g, g.conj().T)
             for tol in (1e-9, 0.3, 0.7):
                 g_ref, opwo = self.vdot_reference(ens, tol)
-                assert np.abs(g - g_ref).max() <= 1e-15
+                assert np.array_equal(g, g_ref)
                 assert is_opwo(ens, tol) == opwo
                 seen.add(opwo)
         assert seen == {True, False}
+
+    def test_overlaps_are_the_pure_pair_overlaps(self):
+        # Python's abs clamped at 1, as quantum_fidelity takes it: np.abs of a
+        # complex can differ in the last bit, and a 1-dim pair can exceed 1.
+        rng = np.random.default_rng(359)
+        for _ in range(200):
+            ens = random_pure_ensemble(rng, int(rng.integers(2, 9)), int(rng.integers(1, 40)))
+            overlaps, psis = _overlaps(ens), ens.pure_states
+            for i, j in itertools.combinations(range(ens.size), 2):
+                assert overlaps[i, j] == psis[i].overlap(psis[j])
+                modulus = min(abs(complex(overlaps[i, j])), 1.0)
+                assert modulus == quantum_fidelity(ens.states[i], ens.states[j])
+
+    def test_is_opwo_counts_an_edge_at_tol_as_quantum_fidelity_does(self):
+        # a-b's overlap sits exactly at tol by quantum_fidelity, but a matrix
+        # product of the stack rounds it above: no edge, unless the ensemble's
+        # overlaps come from a different inner product than the pair's. The
+        # draw also has np.abs agree with Python's abs on a-b (see above).
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            a, b = random_pure(rng, 4), random_pure(rng, 4)
+            c = PureState((b.amplitudes + 0.5) / np.linalg.norm(b.amplitudes + 0.5))
+            stack = np.stack([a.amplitudes, b.amplitudes, c.amplitudes])
+            tol = quantum_fidelity(a, b)
+            product = abs((stack.conj() @ stack.T)[0, 1])
+            if product > tol and np.abs(a.overlap(b)) == tol and quantum_fidelity(a, c) <= tol:
+                break
+        else:
+            pytest.fail("no seeded draw puts the matrix product above np.vdot")
+        ens = Ensemble.from_pure(np.full(3, 1 / 3), (a, b, c))
+        assert quantum_fidelity(b, c) > 0.5
+        degree = [0, 0, 0]
+        for i, j in itertools.combinations(range(3), 2):
+            if quantum_fidelity(ens.states[i], ens.states[j]) > tol:
+                degree[i] += 1
+                degree[j] += 1
+        assert max(degree) == 1
+        assert is_opwo(ens, tol)
+
+    def test_vecdot_has_the_bits_of_vdot(self):
+        # Every overlap and purity rests on this: np.vecdot over the broadcast
+        # shapes of _overlaps and purity equals np.vdot pair by pair.
+        rng = np.random.default_rng(367)
+        for n in range(1, 131):
+            a = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+            pairs = np.vecdot(a[:, None, :], a[None, :, :])
+            assert np.array_equal(pairs, [[np.vdot(u, v) for v in a] for u in a])
+            assert np.array_equal(np.vecdot(a, a), [np.vdot(u, u) for u in a])
+            assert np.vecdot(a[0], a[1]) == np.vdot(a[0], a[1])
 
 
 class TestGramMatrix:
