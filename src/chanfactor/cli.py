@@ -20,8 +20,11 @@ import argparse
 import contextlib
 import errno
 import json
+import math
 import os
 import sys
+from itertools import repeat
+from json.encoder import c_encode_basestring_ascii, c_make_encoder
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .linalg import ENTROPY_TOL, ROW_TOL, _check_tol
 from .qfactor import (
     DensityMatrix,
     Ensemble,
+    FidelityBoundReport,
     PureState,
     advantage_grid,
     average_state,
@@ -89,8 +93,104 @@ def _tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+_CONTAINERS = (dict, list, tuple)
+_DEFAULT = json.JSONEncoder().default  # json.dumps's TypeError for a value JSON cannot hold
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+
+    Python walks only the dicts and lists that hold dicts or lists. Every
+    other value goes through CPython's C encoder in one call, made by an
+    encoder whose item separator carries the indentation of its items. A
+    ``FidelityBoundReport`` is written as the list of its pair dicts, from
+    its columns with one row template. A non-finite float raises the
+    ValueError json.dumps raises for the first one it meets.
+    """
+    encoders = {}
+
+    def scalars(level: int):
+        """C encoder of a value whose items sit at indentation ``level``."""
+        if level not in encoders:
+            # markers, default, string encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan
+            encoders[level] = c_make_encoder(
+                None, _DEFAULT, c_encode_basestring_ascii, None, ": ", ",\n" + "  " * level, False, False, False
+            )
+        return encoders[level]
+
+    def emit(o, level: int, out: list) -> None:
+        pad = "\n" + "  " * level
+        if isinstance(o, FidelityBoundReport):
+            out.append(pair_table(o, level, pad))
+            return
+        items = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
+        if not any(map(isinstance, items, repeat(_CONTAINERS))):
+            text = "".join(scalars(level + 1)(o, 0))
+            out.append(f"{text[0]}{pad}  {text[1:-1]}{pad}{text[-1]}" if isinstance(o, _CONTAINERS) and o else text)
+        elif isinstance(o, dict):
+            out.append("{")
+            for n, (key, value) in enumerate(o.items()):
+                # {key: null} gives the key's text as json.dumps converts it: a number, bool or null becomes a string
+                key_text = "".join(scalars(0)({key: None}, 0))[1 : -len(": null}")]
+                out.append(f"{',' if n else ''}{pad}  {key_text}: ")
+                emit(value, level + 1, out)
+            out.append(pad + "}")
+        else:
+            out.append("[")
+            for n, value in enumerate(o):
+                out.append(f"{',' if n else ''}{pad}  ")
+                emit(value, level + 1, out)
+            out.append(pad + "]")
+
+    def pair_table(r, level: int, pad: str) -> str:
+        if not r.i.size:
+            return "[]"
+        if not all(np.isfinite(col).all() for col in (r.f_quantum, r.f_classical, r.slack)):
+            raise ValueError("non-finite fidelity")
+        labels = []
+        for label in r.labels:
+            text = []
+            emit(label, level + 3, text)
+            labels.append("".join(text))
+        p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+        row = (
+            f'{p1}{{{p2}"pair": [{p3}%s,{p3}%s{p2}],{p2}"f_quantum": %s,{p2}"f_classical": %s,'
+            f'{p2}"slack": %s,{p2}"saturated": %s{p1}}}'
+        )
+        rows = zip(
+            [labels[i] for i in r.i.tolist()],
+            [labels[j] for j in r.j.tolist()],
+            map(float.__repr__, r.f_quantum.tolist()),
+            map(float.__repr__, r.f_classical.tolist()),
+            map(float.__repr__, r.slack.tolist()),
+            np.where(r.saturated, "true", "false").tolist(),
+        )
+        return "[" + ",".join([row % values for values in rows]) + pad + "]"
+
+    out = []
+    try:
+        emit(doc, 0, out)
+    except ValueError:
+        bad = next(_non_finite(doc), None)
+        if bad is None:
+            raise
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}") from None
+    out.append("\n")
+    return "".join(out)
+
+
+def _non_finite(o):
+    """The non-finite floats of ``o``, keys included, in the order json.dumps meets them."""
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            yield o
+    elif isinstance(o, dict):
+        for key, value in o.items():
+            yield from _non_finite(key)
+            yield from _non_finite(value)
+    elif isinstance(o, (list, tuple)):
+        for value in o.pairs if isinstance(o, FidelityBoundReport) else o:
+            yield from _non_finite(value)
 
 
 def cmd_factorize(args) -> tuple:
@@ -128,16 +228,7 @@ def cmd_qfactorize(args) -> tuple:
             "entropy_signal": s_signal,
             "entropy_z": h_z,
             "advantage": h_z - s_signal,
-            "fidelity_pairs": [
-                {
-                    "pair": [p.label_i, p.label_j],
-                    "f_quantum": p.f_quantum,
-                    "f_classical": p.f_classical,
-                    "slack": p.slack,
-                    "saturated": p.saturated,
-                }
-                for p in bound.pairs
-            ],
+            "fidelity_pairs": bound,
         },
     }
     return _json_text(doc), "", EXIT_OK if check.ok else EXIT_VALIDATION

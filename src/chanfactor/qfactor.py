@@ -134,10 +134,10 @@ def _born(elements: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return np.einsum("yij,...ji->...y", elements, matrices).real
 
 
-def _overlaps(e: "Ensemble") -> np.ndarray:
-    """<psi_i|psi_j> of every pair of the ensemble's pure witnesses, each
-    with the bits of ``PureState.overlap``: ``np.vecdot`` per pair."""
-    a = np.stack([p.amplitudes for p in e.pure_states])
+def _overlaps(pure_states) -> np.ndarray:
+    """<psi_i|psi_j> of every pair of the given pure states, each with the
+    bits of ``PureState.overlap``: ``np.vecdot`` per pair."""
+    a = np.stack([p.amplitudes for p in pure_states])
     return np.vecdot(a[:, None, :], a[None, :, :])
 
 
@@ -425,21 +425,47 @@ def _as_density(s) -> DensityMatrix:
 def quantum_fidelity(s1, s2) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(s1) s2 sqrt(s1)) in [0, 1].
 
-    Reduces to |<psi|phi>| when both states carry pure witnesses and to
-    sqrt(<psi|s2|psi>) when one does; those paths are exact to round-off,
-    whereas the general path inherits sqrt-of-eps noise from the
-    rank-deficient matrix square roots. Every path is clamped at 1, which a
-    witness within STATE_TOL of unit norm can otherwise exceed.
+    The two-state case of the pair kernel behind ``fidelity_bound_check``:
+    |<psi|phi>| when both states carry pure witnesses and sqrt(<psi|s2|psi>)
+    when one does; those paths are exact to round-off, whereas the general
+    path inherits sqrt-of-eps noise from the rank-deficient matrix square
+    roots. Every path is clamped at 1, which a witness within STATE_TOL of
+    unit norm can otherwise exceed.
     """
     a, b = _as_density(s1), _as_density(s2)
     if a.dim != b.dim:
         raise DimensionMismatch(f"dims {a.dim} vs {b.dim}")
-    if a.pure is not None and b.pure is not None:
-        return float(min(abs(a.pure.overlap(b.pure)), 1.0))
+    return float(_pair_fidelities((a, b))[2][0])
+
+
+def _pair_fidelities(states) -> tuple:
+    """(i, j, F_Q) over every pair i < j of the same-dimension density
+    matrices ``states``, in row-major order of (i, j).
+
+    Pairs of two witnesses read |<psi_i|psi_j>| off one ``_overlaps``
+    matrix, the one ``is_opwo`` and ``gram_matrix`` read, with ``np.abs`` as
+    the one modulus; any other pair goes through ``_witness_free_fidelity``.
+    """
+    k = len(states)
+    i, j = np.nonzero(np.tri(k, k, -1, dtype=bool).T)  # every pair i < j, row-major
+    witnessed = np.array([s.pure is not None for s in states])
+    both = witnessed[i] & witnessed[j]
+    f = np.empty(i.size)
+    if witnessed.any():
+        row = np.cumsum(witnessed) - 1  # each witness's row in the overlap matrix of the witnesses alone
+        overlaps = _overlaps([s.pure for s in states if s.pure is not None])
+        f[both] = np.minimum(np.abs(overlaps[row[i[both]], row[j[both]]]), 1.0)
+    for n in np.flatnonzero(~both).tolist():
+        f[n] = _witness_free_fidelity(states[i[n]], states[j[n]])
+    return i, j, f
+
+
+def _witness_free_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """F_Q of a pair of which at least one state lacks a pure witness."""
     if a.pure is not None or b.pure is not None:
         psi, rho = (a.pure, b) if a.pure is not None else (b.pure, a)
         v = psi.amplitudes
-        return float(min(np.sqrt(max(np.vecdot(v, rho.matrix @ v).real, 0.0)), 1.0))
+        return min(np.sqrt(max(np.vecdot(v, rho.matrix @ v).real, 0.0)), 1.0)
     # _as_density bounds a's asymmetry by STATE_TOL and its eigenvalues below by -EIG_CLAMP: nothing to check.
     w, v = np.linalg.eigh((a.matrix + a.matrix.conj().T) / 2)
     w, v = w[::-1], v[:, ::-1]  # largest first: the order of the sum below fixes the fidelity's last bits
@@ -451,7 +477,7 @@ def quantum_fidelity(s1, s2) -> float:
     # cut them off relative to the leading eigenvalue.
     cutoff = max(w.max(), 0.0) * UHLMANN_CUTOFF
     w = w[w > cutoff]
-    return float(min(np.sqrt(w).sum(), 1.0)) if w.size else 0.0
+    return min(np.sqrt(w).sum(), 1.0) if w.size else 0.0
 
 
 def merge(e: Ensemble, j: int, k: int) -> tuple:
@@ -483,7 +509,7 @@ def is_opwo(e: Ensemble, tol: float = ROW_TOL) -> bool:
     ensemble qualifies when every vertex of that graph has degree <= 1.
     """
     _check_tol(tol)
-    edges = np.triu(np.abs(_overlaps(e)) > tol, 1)
+    edges = np.triu(np.abs(_overlaps(e.pure_states)) > tol, 1)
     return bool((edges.sum(axis=0) + edges.sum(axis=1)).max() <= 1)
 
 
@@ -494,7 +520,7 @@ def gram_matrix(e: Ensemble) -> np.ndarray:
     ensemble's average state.
     """
     rw = np.sqrt(np.clip(e.weights, 0.0, None))
-    g = np.triu(rw[:, None] * rw * _overlaps(e), 1)
+    g = np.triu(rw[:, None] * rw * _overlaps(e.pure_states), 1)
     g = g + g.conj().T  # exactly Hermitian, whatever order the product summed in
     np.fill_diagonal(g, e.weights)
     return g
@@ -510,8 +536,11 @@ class PairFidelity(NamedTuple):
 
 
 class FidelityBoundReport(NamedTuple):
-    """Per-class-pair comparison of quantum and classical fidelities.
+    """Class-pair comparison of quantum and classical fidelities, as columns.
 
+    Entry n of the read-only arrays ``i``, ``j``, ``f_quantum``,
+    ``f_classical``, ``slack`` = f_classical - f_quantum and ``saturated``
+    describes the pair of classes ``labels[i[n]]`` and ``labels[j[n]]``.
     ``ok`` means no pair's quantum fidelity exceeded the classical one by
     more than the tolerance; ``saturated`` on a pair means the two agree
     within the tolerance.
@@ -519,48 +548,55 @@ class FidelityBoundReport(NamedTuple):
 
     ok: bool
     tol: float
-    pairs: tuple
+    labels: tuple
+    i: np.ndarray
+    j: np.ndarray
+    f_quantum: np.ndarray
+    f_classical: np.ndarray
+    slack: np.ndarray
+    saturated: np.ndarray
 
     def __bool__(self) -> bool:
         return self.ok
 
     @property
     def all_saturated(self) -> bool:
-        return all(p.saturated for p in self.pairs)
+        return bool(self.saturated.all())
+
+    @property
+    def pairs(self) -> tuple:
+        """One ``PairFidelity`` per pair, built from the columns."""
+        labels = self.labels
+        return tuple(
+            PairFidelity(labels[i], labels[j], *row)
+            for i, j, *row in zip(
+                self.i.tolist(), self.j.tolist(), self.f_quantum.tolist(),
+                self.f_classical.tolist(), self.slack.tolist(), self.saturated.tolist(),
+            )
+        )
 
 
 def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) -> FidelityBoundReport:
     """Compare F_Q(signal_i, signal_j) against the Bhattacharyya coefficient
     of the corresponding channel rows for every class pair i < j.
 
-    The Bhattacharyya coefficients of class i against all later classes
-    come from one call of ``classical_fidelity``'s kernel. Pairs are listed
-    in row-major order of (i, j).
+    F_Q comes from ``quantum_fidelity``'s pair kernel over all signals at
+    once; the Bhattacharyya coefficients of class i against all later
+    classes come from one call of ``classical_fidelity``'s kernel. Pairs are
+    listed in row-major order of (i, j).
     """
     _check_tol(tol)
     reps = q.partition.representatives
-    labels = [c.inputs[r] for r in reps]
     rows = c.matrix[list(reps)]
-    pairs = []
-    ok = True
-    for i, si in enumerate(q.signals):
-        f_classical = _bhattacharyya(rows[i], rows[i + 1 :]).tolist()
-        for j, fc in enumerate(f_classical, start=i + 1):
-            fq = quantum_fidelity(si, q.signals[j])
-            slack = fc - fq
-            if slack < -tol:
-                ok = False
-            pairs.append(
-                PairFidelity(
-                    labels[i],
-                    labels[j],
-                    fq,
-                    fc,
-                    float(slack),
-                    bool(abs(slack) <= tol),
-                )
-            )
-    return FidelityBoundReport(ok, tol, tuple(pairs))
+    i, j, f_quantum = _pair_fidelities(q.signals)
+    f_classical = np.concatenate([_bhattacharyya(rows[k], rows[k + 1 :]) for k in range(len(reps))])
+    slack = f_classical - f_quantum
+    ok = not (slack < -tol).any()
+    saturated = np.abs(slack) <= tol
+    labels = tuple(c.inputs[r] for r in reps)
+    return FidelityBoundReport(
+        ok, tol, labels, *map(_freeze, (i, j, f_quantum, f_classical, slack, saturated))
+    )
 
 
 def _matrix_to_json(m: np.ndarray) -> dict:

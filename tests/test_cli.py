@@ -20,10 +20,16 @@ from hypothesis import strategies as st
 
 import chanfactor
 from chanfactor import cli, phase
-from chanfactor.channel import rbsc
+from chanfactor.channel import Channel, rbsc
 from chanfactor.cli import build_parser, main
 from chanfactor.phase import MAX_SIGN_STATES
-from chanfactor.qfactor import advantage_grid, qfactorization_from_json, verify_qfactorization
+from chanfactor.qfactor import (
+    advantage_grid,
+    fidelity_bound_check,
+    g0_construct,
+    qfactorization_from_json,
+    verify_qfactorization,
+)
 
 
 @pytest.fixture()
@@ -180,6 +186,15 @@ class TestQFactorize:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("command", ["factorize", "qfactorize"])
+    def test_non_finite_label_fails_the_report(self, capsys, tmp_path, command):
+        # JSON's NaN literal parses to a float label, which the report cannot hold.
+        path = tmp_path / "nan-label.json"
+        path.write_text(json.dumps({"inputs": [math.nan, "b"], "outputs": ["0", "1"], "rows": [[0.5, 0.5], [0.2, 0.8]]}))
+        assert run(capsys, command, str(path)) == (
+            2, "", "validation error: Out of range float values are not JSON compliant: nan\n"
+        )
 
     def test_nan_distribution_exit_code(self, capsys, rbsc_file, tmp_path):
         dist = tmp_path / "dist.json"
@@ -854,3 +869,95 @@ class TestFuzzChannelDocuments:
                 assert report["report"]["verified"] is True
         else:
             assert out == ""
+
+
+def _dumps(doc) -> str:
+    """The oracle of ``cli._json_text``."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.text(),
+    st.text(alphabet="\"\\\x00\x1f\n\t/é€\U0001f600ab", max_size=6),
+)
+_json_keys = st.one_of(
+    st.text(max_size=4), st.integers(-5, 5), st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.none()
+)
+_json_documents = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_json_keys, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """``cli._json_text``, the one report writer, against json.dumps(indent=2)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_json_documents)
+    def test_bytes_of_json_dumps(self, doc):
+        assert cli._json_text(doc) == _dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        math.nan,
+        [1.0, -math.inf],
+        {"a": [[0.5], {"b": math.inf}]},
+        {"a": 1.0, math.nan: [1]},
+        [[np.float64(math.nan)], [math.nan]],
+        {"a": [{"b": [1, {"c": [2.0, math.nan]}]}]},
+    ])
+    def test_non_finite_values_raise_the_error_of_json_dumps(self, doc):
+        with pytest.raises(ValueError) as expected:
+            _dumps(doc)
+        with pytest.raises(ValueError) as got:
+            cli._json_text(doc)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+
+    @staticmethod
+    def pair_dicts(report) -> list:
+        return [
+            {"pair": [p.label_i, p.label_j], "f_quantum": p.f_quantum, "f_classical": p.f_classical,
+             "slack": p.slack, "saturated": p.saturated}
+            for p in report.pairs
+        ]
+
+    @pytest.mark.parametrize("labels", [["a", 7, 2.5, True, None, "q\"\\é"], ["only"]], ids=["every-kind", "one-class"])
+    def test_pair_table_as_its_dicts(self, labels):
+        # One class per label: the rows all differ. K = 1 gives the empty table.
+        rows = [[(k + 1) / (len(labels) + 1), 1 - (k + 1) / (len(labels) + 1)] for k in range(len(labels))]
+        c = Channel(labels, ["0", "1"], rows)
+        report = fidelity_bound_check(c, g0_construct(c))
+        assert len(report.pairs) == len(labels) * (len(labels) - 1) // 2
+        dicts = self.pair_dicts(report)
+        for doc, oracle in [
+            (report, dicts),
+            ({"report": {"verified": True, "fidelity_pairs": report}}, {"report": {"verified": True, "fidelity_pairs": dicts}}),
+            ([[report, 1]], [[dicts, 1]]),
+        ]:
+            assert cli._json_text(doc) == _dumps(oracle)
+        if len(labels) == 1:
+            assert '"fidelity_pairs": []' in cli._json_text({"fidelity_pairs": report})
+
+    @pytest.mark.parametrize("column", ["f_quantum", "f_classical", "slack"])
+    def test_non_finite_pair_table_raises_the_error_of_json_dumps(self, column):
+        c = Channel(["a", "b", "c"], ["0", "1"], [[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
+        report = fidelity_bound_check(c, g0_construct(c))
+        values = getattr(report, column).copy()
+        values[1] = -math.inf
+        report = report._replace(**{column: values})
+        with pytest.raises(ValueError) as expected:
+            _dumps({"pairs": self.pair_dicts(report)})
+        with pytest.raises(ValueError) as got:
+            cli._json_text({"pairs": report})
+        assert str(got.value) == str(expected.value) == "Out of range float values are not JSON compliant: -inf"

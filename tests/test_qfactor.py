@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from chanfactor.channel import (
     rbsc,
     shannon_entropy,
 )
-from chanfactor.linalg import _entropy_bits
+from chanfactor.linalg import ROW_TOL, _entropy_bits
 from chanfactor.phase import PhasedQubitEnsemble
 from chanfactor.qfactor import (
     POVM,
@@ -57,6 +59,9 @@ from helpers import (
     random_pure,
     random_pure_ensemble,
 )
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "bench"))
+import workloads  # noqa: E402  (bench/ is not a package)
 
 KET0 = PureState(np.array([1.0, 0.0]))
 KET1 = PureState(np.array([0.0, 1.0]))
@@ -765,15 +770,17 @@ class TestOverlapKernel:
         assert seen == {True, False}
 
     def test_overlaps_are_the_pure_pair_overlaps(self):
-        # Python's abs clamped at 1, as quantum_fidelity takes it: np.abs of a
-        # complex can differ in the last bit, and a 1-dim pair can exceed 1.
+        # np.abs clamped at 1, the one modulus of is_opwo and quantum_fidelity:
+        # Python's abs of a complex can differ in the last bit, and a 1-dim
+        # pair can exceed 1.
         rng = np.random.default_rng(359)
         for _ in range(200):
             ens = random_pure_ensemble(rng, int(rng.integers(2, 9)), int(rng.integers(1, 40)))
-            overlaps, psis = _overlaps(ens), ens.pure_states
+            psis = ens.pure_states
+            overlaps = _overlaps(psis)
             for i, j in itertools.combinations(range(ens.size), 2):
                 assert overlaps[i, j] == psis[i].overlap(psis[j])
-                modulus = min(abs(complex(overlaps[i, j])), 1.0)
+                modulus = min(np.abs(overlaps[i, j]), 1.0)
                 assert modulus == quantum_fidelity(ens.states[i], ens.states[j])
 
     def test_is_opwo_counts_an_edge_at_tol_as_quantum_fidelity_does(self):
@@ -885,12 +892,14 @@ class TestFidelityBound:
 
     @staticmethod
     def check_pairs_against_per_pair_reference(c, q, tol=1e-9):
-        """Assert every pair equals its per-pair reference; returns ``ok``."""
+        """Assert every pair, as a ``pairs`` record and as a row of the
+        report's columns, equals its per-pair reference; returns ``ok``."""
         reps = q.partition.representatives
         report = fidelity_bound_check(c, q, tol)
         k = len(reps)
         assert len(report.pairs) == k * (k - 1) // 2
         pairs = iter(report.pairs)
+        columns = {name: [] for name in ("i", "j", "f_quantum", "f_classical", "slack", "saturated")}
         ok = True
         for i in range(k):
             for j in range(i + 1, k):
@@ -903,8 +912,22 @@ class TestFidelityBound:
                 assert pair.slack == fc - fq
                 assert pair.saturated is (abs(fc - fq) <= tol)
                 ok = ok and not fc - fq < -tol
+                for name, value in zip(columns, (i, j, fq, fc, fc - fq, abs(fc - fq) <= tol)):
+                    columns[name].append(value)
+        for name, values in columns.items():
+            assert np.array_equal(getattr(report, name), np.array(values, dtype=getattr(report, name).dtype)), name
+        assert report.labels == tuple(c.inputs[r] for r in reps)
         assert report.ok is ok
+        assert report.all_saturated is all(columns["saturated"])
         return ok
+
+    def test_many_classes_bench_channel_matches_per_pair_fidelities(self, tmp_path):
+        # The benchmark's many-classes seed-1 channel: 400 classes, 79,800 pairs.
+        (invocation,) = workloads.build("many-classes", 1, tmp_path)
+        c = Channel.from_json(json.loads(Path(invocation.argv[1]).read_text()))
+        q = g0_construct(c)
+        assert q.cardinality == 400
+        assert self.check_pairs_against_per_pair_reference(c, q, ROW_TOL)
 
     def test_pairs_match_per_pair_fidelities(self):
         # The array pass must reproduce the per-pair reference bit for bit, including output counts long

@@ -29,8 +29,8 @@ from pathlib import Path
 
 # (file under src/chanfactor, old text, new text)
 MUTANTS = [
-    ("qfactor.py", "if slack < -tol:", "if slack < -2 * tol:"),
-    ("qfactor.py", "if slack < -tol:", "if slack <= -tol:"),
+    ("qfactor.py", "(slack < -tol)", "(slack < -2 * tol)"),
+    ("qfactor.py", "(slack < -tol)", "(slack <= -tol)"),
     ("channel.py", "np.nonzero(gap > tol)", "np.nonzero(gap > 2 * tol)"),
     ("channel.py", "if not w.min() >= -NEG_TOL:", "if not w.min() >= -1e-9:"),
     ("qfactor.py", "off = ~(np.abs(tr - 1.0) <= SUM_TOL)", "off = ~(np.abs(tr - 1.0) <= 1e-6)"),
@@ -38,7 +38,7 @@ MUTANTS = [
     ("channel.py", ".max(axis=1) <= tol", ".max(axis=1) < tol"),
     ("qfactor.py", "return np.where(np.abs(norm - 1.0) <= STATE_TOL, amps, amps / norm)", "return amps"),
     ("linalg.py", "EIG_CLAMP = 1e-10", "EIG_CLAMP = 1e-6"),
-    ("qfactor.py", "bool(abs(slack) <= tol)", "bool(abs(slack) <= 10 * tol)"),
+    ("qfactor.py", "np.abs(slack) <= tol", "np.abs(slack) <= 10 * tol"),
     ("phase.py", "DELTA_WINDOW = 1e-12", "DELTA_WINDOW = 0.0"),
     ("channel.py", "m.min() < -NEG_TOL", "m.min() < -2 * NEG_TOL"),
     ("channel.py", "m.max() > 1 + NEG_TOL", "m.max() > 1 + 2 * NEG_TOL"),
@@ -54,7 +54,7 @@ MUTANTS = [
     ("qfactor.py", "min_eig >= -tol", "min_eig >= -2 * tol"),
     ("qfactor.py", "and comp <= tol", "and comp <= 2 * tol"),
     ("qfactor.py", "cutoff = max(w.max(), 0.0) * UHLMANN_CUTOFF", "cutoff = max(w.max(), 0.0) * 2 * UHLMANN_CUTOFF"),
-    ("qfactor.py", "np.abs(_overlaps(e)) > tol", "np.abs(_overlaps(e)) > 2 * tol"),
+    ("qfactor.py", "np.abs(_overlaps(e.pure_states)) > tol", "np.abs(_overlaps(e.pure_states)) > 2 * tol"),
     ("cli.py", "entropy <= scan.min_entropy + ENTROPY_TOL", "entropy <= scan.min_entropy + 2 * ENTROPY_TOL"),
     ("casestudy.py", "(s > RANK_TOL).sum()", "(s > 2 * RANK_TOL).sum()"),
 ]
