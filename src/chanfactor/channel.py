@@ -49,9 +49,9 @@ def _weight_vector(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must form a nonempty vector")
     # Written to pass only when true: a NaN or infinite entry fails one of them.
     if not w.min() >= -NEG_TOL:
-        raise ValueError(f"{name} must be finite and nonnegative, got min {w.min()!r}")
+        raise ValueError(f"{name} must be finite and nonnegative, got min {float(w.min())}")
     if not abs(w.sum() - 1.0) <= SUM_TOL:
-        raise ValueError(f"{name} must be finite and sum to 1, got {w.sum()!r}")
+        raise ValueError(f"{name} must be finite and sum to 1, got {float(w.sum())}")
     return _freeze(w)
 
 
@@ -258,12 +258,15 @@ def causal_partition(c: Channel, tol: float = ROW_TOL) -> Partition:
     return Partition(classes, c.n_inputs)
 
 
+def _check_partition_of(c: Channel, p: Partition) -> None:
+    """AlphabetMismatch unless ``p`` partitions the inputs of ``c``."""
+    if p.size != c.n_inputs:
+        raise AlphabetMismatch(f"partition covers {p.size} elements, channel has {c.n_inputs} inputs")
+
+
 def factorization_from_partition(c: Channel, p: Partition) -> Factorization:
     """Factorization whose reduced rows are read off class representatives."""
-    if p.size != c.n_inputs:
-        raise AlphabetMismatch(
-            f"partition covers {p.size} elements, channel has {c.n_inputs} inputs"
-        )
+    _check_partition_of(c, p)
     reps = p.representatives
     reduced = Channel(
         tuple(c.inputs[r] for r in reps),
@@ -340,10 +343,7 @@ def verify_factorization(c: Channel, f: Factorization, tol: float = ROW_TOL) -> 
     """Check that every input's row matches its class's reduced row."""
     _check_tol(tol)
     p = f.partition
-    if p.size != c.n_inputs:
-        raise AlphabetMismatch(
-            f"partition covers {p.size} elements, channel has {c.n_inputs} inputs"
-        )
+    _check_partition_of(c, p)
     if f.reduced.outputs != c.outputs:
         raise AlphabetMismatch("reduced channel output alphabet differs")
     if f.reduced.n_inputs != p.n_classes:

@@ -73,6 +73,13 @@ def _entropy_bits(w: np.ndarray) -> np.ndarray:
     return -np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0).sum(axis=-1)
 
 
+def _check_square_stack(a: np.ndarray) -> np.ndarray:
+    """``a`` itself; ValueError unless it is a nonempty square matrix or a stack of them."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
 def purity(m) -> np.ndarray | float:
     """tr(m²) for Hermitian m, or for each matrix of a (..., d, d) stack;
     equals the squared Frobenius norm.
@@ -81,9 +88,7 @@ def purity(m) -> np.ndarray | float:
     itself, which gives the same bits as ``np.vdot(m, m).real``; a float for
     one matrix.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    a = _check_square_stack(np.asarray(m, dtype=complex))
     rows = a.reshape(a.shape[:-2] + (a.shape[-1] ** 2,))
     p = np.vecdot(rows, rows).real
     return float(p) if p.ndim == 0 else p

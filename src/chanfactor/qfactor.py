@@ -31,8 +31,8 @@ from .channel import (
     causal_partition,
 )
 from .linalg import (
-    EIG_CLAMP, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_tol, _checked_record,
-    _entropy_bits, _freeze,
+    EIG_CLAMP, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_square_stack, _check_tol,
+    _checked_record, _entropy_bits, _freeze,
 )
 
 __all__ = [
@@ -71,13 +71,20 @@ class IndexOutOfRange(IndexError):
     """Ensemble index is invalid for the requested operation."""
 
 
+def _common_dim(items) -> None:
+    """DimensionMismatch unless every state or POVM of ``items`` has the same ``dim``."""
+    dims = sorted({x.dim for x in items})
+    if len(dims) != 1:
+        raise DimensionMismatch(f"dimensions {dims} must agree")
+
+
 def _check_unit_norm(v: np.ndarray) -> None:
     """ValueError unless every vector along the last axis of ``v`` has a
     finite norm within STATE_TOL of 1; the message names the first that fails."""
     norm = np.linalg.norm(v, axis=-1)
     off = ~(np.abs(norm - 1.0) <= STATE_TOL)  # a NaN or infinite amplitude is off too
     if off.any():
-        raise ValueError(f"state norm {norm[off][0]!r} must be finite and within {STATE_TOL:.0e} of 1")
+        raise ValueError(f"state norm {float(norm[off][0])} must be finite and within {STATE_TOL:.0e} of 1")
 
 
 def _density_spectrum(m: np.ndarray) -> np.ndarray:
@@ -90,8 +97,7 @@ def _density_spectrum(m: np.ndarray) -> np.ndarray:
     ``DensityMatrix`` gives for it alone. The spectrum is that of the
     symmetrized stack, which equals the stack when it is exactly Hermitian.
     """
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    _check_square_stack(m)
     adjoint = m.conj().swapaxes(-1, -2)
     # A NaN or infinite entry makes m - m^dagger NaN or infinite there.
     if not np.abs(m - adjoint).max() <= STATE_TOL:
@@ -99,7 +105,7 @@ def _density_spectrum(m: np.ndarray) -> np.ndarray:
     tr = m.trace(0, -2, -1).real
     off = ~(np.abs(tr - 1.0) <= SUM_TOL)
     if off.any():
-        raise ValueError(f"trace {tr[off][0]!r} deviates from 1 beyond {SUM_TOL:.0e}")
+        raise ValueError(f"trace {float(tr[off][0])} deviates from 1 beyond {SUM_TOL:.0e}")
     w = np.linalg.eigvalsh((m + adjoint) / 2)
     if not w.min() >= -EIG_CLAMP:
         raise ValueError(f"matrix has an eigenvalue below -{EIG_CLAMP:.0e}")
@@ -162,8 +168,7 @@ class PureState(_checked_record("PureState", "amplitudes")):
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dims {self.dim} vs {other.dim}")
+        _common_dim((self, other))
         return complex(np.vecdot(self.amplitudes, other.amplitudes))
 
 
@@ -183,7 +188,7 @@ class DensityMatrix(_checked_record("DensityMatrix", "matrix pure")):
         call: bench/spans.py times them as ``qfactor.density_matrix``."""
         m = self.matrix
         if m.ndim != 2:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+            raise ValueError(f"a density matrix must be 2-D, got shape {m.shape}")
         _density_spectrum(m)
         if self.pure is not None and np.abs(m - self.pure.projector()).max() > ROW_TOL:
             raise ValueError("pure witness does not match the matrix")
@@ -259,8 +264,7 @@ class POVM(_checked_record("POVM", "elements labels")):
 
     def outcome_probabilities(self, state: DensityMatrix) -> np.ndarray:
         """Born probabilities tr(E_k rho), clipped of round-off negatives."""
-        if state.dim != self.dim:
-            raise DimensionMismatch(f"state dim {state.dim} vs POVM dim {self.dim}")
+        _common_dim((self, state))
         return np.clip(_born(self.elements, state.matrix), 0.0, None)
 
 
@@ -280,12 +284,7 @@ class QFactorization(_checked_record("QFactorization", "input_labels partition s
             raise AlphabetMismatch("labels do not match partition size")
         if len(signals) != partition.n_classes:
             raise ValueError("need exactly one signal state per class")
-        d = signals[0].dim
-        for s in signals:
-            if s.dim != d:
-                raise DimensionMismatch("signal states must share one dimension")
-        if povm.dim != d:
-            raise DimensionMismatch("POVM dimension differs from signal states")
+        _common_dim((*signals, povm))
         return super().__new__(cls, input_labels, partition, signals, povm)
 
     @property
@@ -304,10 +303,7 @@ class Ensemble(_checked_record("Ensemble", "weights states")):
         states = tuple(states)
         if w.size != len(states):
             raise ValueError("need one weight per state")
-        d = states[0].dim
-        for s in states:
-            if s.dim != d:
-                raise DimensionMismatch("ensemble states must share one dimension")
+        _common_dim(states)
         return super().__new__(cls, w, states)
 
     @classmethod
@@ -356,6 +352,14 @@ class QFactorizationCheck(NamedTuple):
         return self.ok
 
 
+def _check_alphabets(c: Channel, q: QFactorization) -> None:
+    """AlphabetMismatch unless ``q`` factorizes a channel with the inputs and outputs of ``c``."""
+    if q.input_labels != c.inputs:
+        raise AlphabetMismatch("factorization input labels differ from channel")
+    if q.povm.labels != c.outputs:
+        raise AlphabetMismatch("POVM labels differ from channel outputs")
+
+
 def verify_qfactorization(c: Channel, q: QFactorization, tol: float = ROW_TOL) -> QFactorizationCheck:
     """Check POVM validity and Pr(y|x) = tr(E_y rho_{class(x)}) for all x, y.
 
@@ -363,10 +367,7 @@ def verify_qfactorization(c: Channel, q: QFactorization, tol: float = ROW_TOL) -
     result is falsy rather than raising so callers can inspect failures.
     """
     _check_tol(tol)
-    if q.input_labels != c.inputs:
-        raise AlphabetMismatch("factorization input labels differ from channel")
-    if q.povm.labels != c.outputs:
-        raise AlphabetMismatch("POVM labels differ from channel outputs")
+    _check_alphabets(c, q)
     povm_check = q.povm.validate(tol)
     # probs[k, y] = tr(E_y rho_k), the outcome distribution of class k.
     probs = _born(q.povm.elements, np.stack([s.matrix for s in q.signals]))
@@ -433,8 +434,7 @@ def quantum_fidelity(s1, s2) -> float:
     unit norm can otherwise exceed.
     """
     a, b = _as_density(s1), _as_density(s2)
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims {a.dim} vs {b.dim}")
+    _common_dim((a, b))
     return float(_pair_fidelities((a, b))[2][0])
 
 
@@ -586,6 +586,7 @@ def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) ->
     listed in row-major order of (i, j).
     """
     _check_tol(tol)
+    _check_alphabets(c, q)
     reps = q.partition.representatives
     rows = c.matrix[list(reps)]
     i, j, f_quantum = _pair_fidelities(q.signals)
@@ -607,11 +608,18 @@ def _matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _json_field(data, key: str):
+    """``data[key]``; ValueError naming ``key`` unless ``data`` is a JSON object that holds it."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"expected a JSON object with key {key!r}")
+    return data[key]
+
+
 def _matrix_from_json(data: dict) -> np.ndarray:
-    d = data["dim"]
+    d = _json_field(data, "dim")
     if type(d) is not int:  # a JSON integer: not a float such as 2.9, a string or a boolean
         raise ValueError(f"dim must be an integer, got {d!r}")
-    m = _number_array(data["re"], "re") + 1j * _number_array(data["im"], "im")
+    m = _number_array(_json_field(data, "re"), "re") + 1j * _number_array(_json_field(data, "im"), "im")
     if m.shape != (d, d):
         raise ValueError(f"matrix payload shape {m.shape} does not match dim {d}")
     return m
@@ -631,22 +639,17 @@ def qfactorization_to_json(q: QFactorization) -> dict:
 def qfactorization_from_json(data: dict, c: Channel) -> QFactorization:
     """Rebuild a Q-factorization against the channel that defines its alphabets."""
     index = {label: i for i, label in enumerate(c.inputs)}
+    partition, states, elements = (_json_field(data, key) for key in ("partition", "states", "povm"))
     try:
-        classes = [
-            tuple(index[label] for label in cl) for cl in data["partition"]
-        ]
+        classes = [tuple(index[label] for label in cl) for cl in partition]
     except KeyError as err:
         raise AlphabetMismatch(f"unknown input label {err.args[0]!r}") from None
-    if len(classes) != len(data["states"]):
+    if len(classes) != len(states):
         raise ValueError("need exactly one state per partition class")
     # Partition canonicalizes class order (by lowest member), so states must
     # be permuted alongside their classes.
     order = sorted(range(len(classes)), key=lambda k: min(classes[k], default=-1))
     part = Partition(tuple(classes[k] for k in order), c.n_inputs)
-    states = tuple(
-        DensityMatrix(_matrix_from_json(data["states"][k])) for k in order
-    )
-    povm = POVM(
-        tuple(_matrix_from_json(e) for e in data["povm"]), c.outputs
-    )
-    return QFactorization(c.inputs, part, states, povm)
+    signals = tuple(DensityMatrix(_matrix_from_json(states[k])) for k in order)
+    povm = POVM(tuple(_matrix_from_json(e) for e in elements), c.outputs)
+    return QFactorization(c.inputs, part, signals, povm)

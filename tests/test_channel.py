@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from chanfactor import linalg
 from chanfactor.channel import (
     AlphabetMismatch,
     Channel,
+    Factorization,
     InputDistribution,
     InvalidChannel,
     Partition,
@@ -508,6 +510,11 @@ class TestPartitionType:
         assert not coarse.refines(fine)
         assert fine.refines(fine)
 
+    def test_partitions_of_different_sizes_do_not_refine(self):
+        small, large = Partition(((0,),), 1), Partition(((0, 1),), 2)
+        assert not small.refines(large)
+        assert not large.refines(small)
+
 
 class TestInputDistribution:
     def test_rejects_bad_sum(self):
@@ -518,3 +525,54 @@ class TestInputDistribution:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             InputDistribution(np.array([bad, 0.5]))
+
+
+RBSC_CLASSES = Partition(((0, 2), (1, 3)), 4)
+
+
+class TestGuards:
+    """Each call breaks one precondition and gets that precondition's one message."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: Channel(("a",), ("0",), [1.0]), InvalidChannel, "matrix must be 2-D, got ndim=1"),
+            (lambda: Channel((), ("0",), np.zeros((0, 1))), InvalidChannel, "alphabets must be nonempty"),
+            (lambda: rbsc(1.5), InvalidChannel, "p must lie in [0, 1], got 1.5"),
+            (lambda: Partition(((), (0,)), 1), ValueError, "partition classes must be nonempty"),
+            (
+                lambda: factorization_from_partition(rbsc(0.3), Partition(((0, 1),), 2)),
+                AlphabetMismatch,
+                "partition covers 2 elements, channel has 4 inputs",
+            ),
+            (
+                lambda: verify_factorization(
+                    rbsc(0.3), Factorization(Partition(((0, 1),), 2), Channel(("0",), ("0", "1"), [[0.7, 0.3]]))
+                ),
+                AlphabetMismatch,
+                "partition covers 2 elements, channel has 4 inputs",
+            ),
+            (
+                lambda: verify_factorization(
+                    rbsc(0.3), Factorization(RBSC_CLASSES, Channel(("0", "1"), ("a", "b"), [[0.7, 0.3], [0.3, 0.7]]))
+                ),
+                AlphabetMismatch,
+                "reduced channel output alphabet differs",
+            ),
+            (
+                lambda: verify_factorization(
+                    rbsc(0.3), Factorization(RBSC_CLASSES, Channel(("0",), ("0", "1"), [[0.7, 0.3]]))
+                ),
+                AlphabetMismatch,
+                "reduced channel must have one row per class",
+            ),
+        ],
+        ids=[
+            "Channel-ndim", "Channel-empty-alphabet", "rbsc-p", "Partition-empty-class",
+            "factorization_from_partition-size", "verify_factorization-size", "verify_factorization-outputs",
+            "verify_factorization-rows",
+        ],
+    )
+    def test_refuses(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -202,6 +202,20 @@ class TestQFactorize:
         code, out, _ = run(capsys, "qfactorize", rbsc_file, "--dist", str(dist))
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([-0.1, 0.6, 0.25, 0.25], "probabilities must be finite and nonnegative, got min -0.1"),
+            ([0.5, 0.6, 0.25, 0.25], "probabilities must be finite and sum to 1, got 1.6"),
+        ],
+        ids=["negative", "sum"],
+    )
+    def test_refused_distribution_prints_plain_numbers(self, capsys, rbsc_file, tmp_path, probs, message):
+        # numpy 2 printed the repr of its scalar: "got min np.float64(-0.1)".
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps(probs))
+        assert run(capsys, "qfactorize", rbsc_file, "--dist", str(dist)) == (2, "", f"validation error: {message}\n")
+
     def test_tol_sets_fidelity_saturation(self, capsys, tmp_path):
         # sqrt(p)**2 == p for every entry, so the factorization verifies at
         # any tol, while F_Q and F_C of the pair differ by 2.2e-16 round-off.

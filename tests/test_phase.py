@@ -101,6 +101,13 @@ class TestEnsembleType:
         with pytest.raises(ValueError):
             PhasedQubitEnsemble(np.array([0.7, 0.7]), np.array([1.0, 1.0]), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("short", ["a", "b", "phases"])
+    def test_refuses_unequal_lengths(self, short):
+        fields = {"weights": [0.5, 0.5], "a": [0.6, 0.8], "b": [0.8, 0.6], "phases": [0.0, 0.0]}
+        fields[short] = fields[short][:1]
+        with pytest.raises(ValueError, match="^weights, a, b, phases must have equal length$"):
+            PhasedQubitEnsemble(**fields)
+
     def test_states_match_parameters(self):
         e = PhasedQubitEnsemble(
             np.array([0.5, 0.5]),

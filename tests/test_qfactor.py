@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -890,6 +891,20 @@ class TestFidelityBound:
         assert pair.f_quantum < pair.f_classical - 1e-3
         assert not pair.saturated
 
+    @pytest.mark.parametrize(
+        "other",
+        [
+            # Same shape as rbsc(0.3): the bound held, and the report named the classes of rbsc(0.3).
+            Channel(("a", "b", "c", "d"), ("0", "1"), rbsc(0.1).matrix),
+            # Six classes: their representatives indexed past the four rows of rbsc(0.3).
+            Channel(tuple("abcdef"), ("0", "1"), [[1 - p, p] for p in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)]),
+        ],
+        ids=["4-input", "6-input"],
+    )
+    def test_refuses_a_factorization_of_another_channel(self, other):
+        with pytest.raises(AlphabetMismatch, match="factorization input labels differ from channel"):
+            fidelity_bound_check(rbsc(0.3), g0_construct(other))
+
     @staticmethod
     def check_pairs_against_per_pair_reference(c, q, tol=1e-9):
         """Assert every pair, as a ``pairs`` record and as a row of the
@@ -1101,9 +1116,134 @@ class TestQFactorizationJson:
         with pytest.raises(ValueError, match=f"{field} must"):
             qfactorization_from_json(payload, c)
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda doc: {}, "partition"),
+            (lambda doc: [doc], "partition"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "states"}, "states"),
+            (lambda doc: {**doc, "povm": [1, 2]}, "dim"),
+            (lambda doc: {**doc, "povm": [{k: v for k, v in e.items() if k != "re"} for e in doc["povm"]]}, "re"),
+        ],
+        ids=["empty", "list", "no-states", "povm-numbers", "no-re"],
+    )
+    def test_malformed_document_names_the_key(self, edit, key):
+        # {} was read as an unknown label 'partition'; the others escaped as KeyError or TypeError.
+        c = rbsc(0.3)
+        doc = edit(qfactorization_to_json(g0_construct(c)))
+        with pytest.raises(ValueError, match=f"^expected a JSON object with key '{key}'$") as err:
+            qfactorization_from_json(doc, c)
+        assert type(err.value) is ValueError
+
     def test_unknown_label_rejected(self):
         c = rbsc(0.3)
         payload = qfactorization_to_json(g0_construct(c))
         payload["partition"][0][0] = "nope"
         with pytest.raises(AlphabetMismatch):
             qfactorization_from_json(payload, c)
+
+
+RBSC_Q = g0_construct(rbsc(0.3))
+
+
+def _payload(edit) -> dict:
+    """The JSON document of RBSC_Q after ``edit`` changed it in place."""
+    doc = qfactorization_to_json(RBSC_Q)
+    edit(doc)
+    return doc
+
+
+class TestGuards:
+    """Each call breaks one precondition and gets that precondition's one message."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: PureState([]), ValueError, "amplitudes must form a nonempty vector"),
+            (
+                lambda: PureState([1.0, 1.0]),
+                ValueError,
+                "state norm 1.4142135623730951 must be finite and within 1e-10 of 1",
+            ),
+            (lambda: KET0.overlap(PureState([1.0, 0.0, 0.0])), DimensionMismatch, "dimensions [2, 3] must agree"),
+            (
+                lambda: POVM.computational("ab").outcome_probabilities(maximally_mixed(3)),
+                DimensionMismatch,
+                "dimensions [2, 3] must agree",
+            ),
+            (lambda: quantum_fidelity(maximally_mixed(3), KET0), DimensionMismatch, "dimensions [2, 3] must agree"),
+            (
+                lambda: Ensemble([0.5, 0.5], [maximally_mixed(3), KET0_DM]),
+                DimensionMismatch,
+                "dimensions [2, 3] must agree",
+            ),
+            (
+                lambda: Ensemble([0.5, 0.6], [KET0_DM, KET1_DM]),
+                ValueError,
+                "weights must be finite and sum to 1, got 1.1",
+            ),
+            (
+                lambda: DensityMatrix(np.eye(2)[None] / 2),
+                ValueError,
+                "a density matrix must be 2-D, got shape (1, 2, 2)",
+            ),
+            (
+                lambda: DensityMatrix(np.ones((2, 3))),
+                ValueError,
+                "expected a square matrix or a stack of them, got shape (2, 3)",
+            ),
+            (lambda: DensityMatrix(np.eye(2)), ValueError, "trace 2.0 deviates from 1 beyond 1e-09"),
+            (lambda: POVM([np.eye(2)], "ab"), ValueError, "need one label per element and at least one element"),
+            (
+                lambda: QFactorization("012", RBSC_Q.partition, RBSC_Q.signals, RBSC_Q.povm),
+                AlphabetMismatch,
+                "labels do not match partition size",
+            ),
+            (
+                lambda: RBSC_Q._replace(signals=RBSC_Q.signals[:1]),
+                ValueError,
+                "need exactly one signal state per class",
+            ),
+            (
+                lambda: RBSC_Q._replace(signals=(KET0_DM, maximally_mixed(3))),
+                DimensionMismatch,
+                "dimensions [2, 3] must agree",
+            ),
+            (
+                lambda: RBSC_Q._replace(povm=POVM.computational("abc")),
+                DimensionMismatch,
+                "dimensions [2, 3] must agree",
+            ),
+            (
+                lambda: Ensemble([1.0], [maximally_mixed(2)]).pure_states,
+                ValueError,
+                "ensemble contains states without a pure witness",
+            ),
+            (
+                lambda: verify_qfactorization(rbsc(0.3), RBSC_Q._replace(povm=POVM.computational(("1", "0")))),
+                AlphabetMismatch,
+                "POVM labels differ from channel outputs",
+            ),
+            (
+                lambda: qfactorization_from_json(_payload(lambda d: d["povm"][0].update(dim=3)), rbsc(0.3)),
+                ValueError,
+                "matrix payload shape (2, 2) does not match dim 3",
+            ),
+            (
+                lambda: qfactorization_from_json(_payload(lambda d: d["states"].pop()), rbsc(0.3)),
+                ValueError,
+                "need exactly one state per partition class",
+            ),
+        ],
+        ids=[
+            "PureState-empty", "PureState-norm", "PureState.overlap-dim", "POVM.outcome_probabilities-dim",
+            "quantum_fidelity-dim", "Ensemble-dim", "Ensemble-weights", "DensityMatrix-ndim",
+            "DensityMatrix-square", "DensityMatrix-trace", "POVM-labels", "QFactorization-labels",
+            "QFactorization-signals", "QFactorization-signal-dim", "QFactorization-povm-dim",
+            "Ensemble.pure_states", "verify_qfactorization-povm-labels", "_matrix_from_json-shape",
+            "qfactorization_from_json-states",
+        ],
+    )
+    def test_refuses(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,4 +1,4 @@
-"""Mutation check of the compared tolerances: does tier-1 notice a moved bound?
+"""Mutation check of the tolerances and preconditions: does tier-1 notice a moved bound or a dropped check?
 
 Each row of ``MUTANTS`` names a file under ``src/chanfactor``, a text that
 occurs exactly once in it and the one-line change to make there. For each
@@ -57,6 +57,11 @@ MUTANTS = [
     ("qfactor.py", "np.abs(_overlaps(e.pure_states)) > tol", "np.abs(_overlaps(e.pure_states)) > 2 * tol"),
     ("cli.py", "entropy <= scan.min_entropy + ENTROPY_TOL", "entropy <= scan.min_entropy + 2 * ENTROPY_TOL"),
     ("casestudy.py", "(s > RANK_TOL).sum()", "(s > 2 * RANK_TOL).sum()"),
+    # Each precondition helper with its refusal disabled.
+    ("channel.py", "if p.size != c.n_inputs:", "if False:"),
+    ("qfactor.py", "if q.input_labels != c.inputs:", "if False:"),
+    ("qfactor.py", "if len(dims) != 1:", "if False:"),
+    ("linalg.py", "if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:", "if False:"),
 ]
 
 COPIED = ("src", "tests", "bench", "pyproject.toml")
