@@ -195,6 +195,7 @@ def _non_finite(o):
 
 def cmd_factorize(args) -> tuple:
     c = Channel.from_json(_load_json(args.channel))
+    d = _load_dist(args.dist, c.n_inputs) if args.dist else None
     f = causal_factorization(c, args.tol)
     doc = {
         "config": {"command": args.command, "tol": args.tol, "channel": args.channel},
@@ -202,8 +203,7 @@ def cmd_factorize(args) -> tuple:
         "cardinality": f.partition.n_classes,
         "reduced_channel": f.reduced.to_json(),
     }
-    if args.dist:
-        d = _load_dist(args.dist, c.n_inputs)
+    if d is not None:
         doc["entropy_x"] = shannon_entropy(d)
         doc["entropy_z"] = shannon_entropy(pushforward(d, f.partition))
     return _json_text(doc), "", EXIT_OK
@@ -211,10 +211,10 @@ def cmd_factorize(args) -> tuple:
 
 def cmd_qfactorize(args) -> tuple:
     c = Channel.from_json(_load_json(args.channel))
+    d = _load_dist(args.dist, c.n_inputs)
     q = g0_construct(c, args.tol)
     check = verify_qfactorization(c, q, args.tol)
     bound = fidelity_bound_check(c, q, args.tol)
-    d = _load_dist(args.dist, c.n_inputs)
     weights = pushforward(d, q.partition)
     rho = average_state(Ensemble(weights.probs, q.signals))
     s_signal = von_neumann_entropy(rho)

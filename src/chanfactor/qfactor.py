@@ -140,10 +140,10 @@ def _born(elements: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return np.einsum("yij,...ji->...y", elements, matrices).real
 
 
-def _overlaps(pure_states) -> np.ndarray:
-    """<psi_i|psi_j> of every pair of the given pure states, each with the
-    bits of ``PureState.overlap``: ``np.vecdot`` per pair."""
-    a = np.stack([p.amplitudes for p in pure_states])
+def _overlaps(amplitudes) -> np.ndarray:
+    """<a_i|a_j> of every pair of the same-length amplitude rows, each with
+    the bits of ``PureState.overlap``: ``np.vecdot`` per pair."""
+    a = np.stack(amplitudes)
     return np.vecdot(a[:, None, :], a[None, :, :])
 
 
@@ -442,20 +442,17 @@ def _pair_fidelities(states) -> tuple:
     """(i, j, F_Q) over every pair i < j of the same-dimension density
     matrices ``states``, in row-major order of (i, j).
 
-    Pairs of two witnesses read |<psi_i|psi_j>| off one ``_overlaps``
-    matrix, the one ``is_opwo`` and ``gram_matrix`` read, with ``np.abs`` as
-    the one modulus; any other pair goes through ``_witness_free_fidelity``.
+    |<psi_i|psi_j>| comes off one ``_overlaps`` matrix, fed as ``is_opwo``
+    and ``gram_matrix`` feed it, with ``np.abs`` as the one modulus. A state
+    without a witness gives a NaN row, which ``PureState``'s finite
+    amplitudes never do, so its pairs come out NaN and go through
+    ``_witness_free_fidelity``.
     """
     k = len(states)
     i, j = np.nonzero(np.tri(k, k, -1, dtype=bool).T)  # every pair i < j, row-major
-    witnessed = np.array([s.pure is not None for s in states])
-    both = witnessed[i] & witnessed[j]
-    f = np.empty(i.size)
-    if witnessed.any():
-        row = np.cumsum(witnessed) - 1  # each witness's row in the overlap matrix of the witnesses alone
-        overlaps = _overlaps([s.pure for s in states if s.pure is not None])
-        f[both] = np.minimum(np.abs(overlaps[row[i[both]], row[j[both]]]), 1.0)
-    for n in np.flatnonzero(~both).tolist():
+    overlaps = _overlaps([np.full(s.dim, np.nan) if s.pure is None else s.pure.amplitudes for s in states])
+    f = np.minimum(np.abs(overlaps[i, j]), 1.0)
+    for n in np.flatnonzero(np.isnan(f)).tolist():
         f[n] = _witness_free_fidelity(states[i[n]], states[j[n]])
     return i, j, f
 
@@ -509,7 +506,7 @@ def is_opwo(e: Ensemble, tol: float = ROW_TOL) -> bool:
     ensemble qualifies when every vertex of that graph has degree <= 1.
     """
     _check_tol(tol)
-    edges = np.triu(np.abs(_overlaps(e.pure_states)) > tol, 1)
+    edges = np.triu(np.abs(_overlaps([p.amplitudes for p in e.pure_states])) > tol, 1)
     return bool((edges.sum(axis=0) + edges.sum(axis=1)).max() <= 1)
 
 
@@ -520,7 +517,7 @@ def gram_matrix(e: Ensemble) -> np.ndarray:
     ensemble's average state.
     """
     rw = np.sqrt(np.clip(e.weights, 0.0, None))
-    g = np.triu(rw[:, None] * rw * _overlaps(e.pure_states), 1)
+    g = np.triu(rw[:, None] * rw * _overlaps([p.amplitudes for p in e.pure_states]), 1)
     g = g + g.conj().T  # exactly Hermitian, whatever order the product summed in
     np.fill_diagonal(g, e.weights)
     return g
@@ -567,13 +564,10 @@ class FidelityBoundReport(NamedTuple):
     def pairs(self) -> tuple:
         """One ``PairFidelity`` per pair, built from the columns."""
         labels = self.labels
-        return tuple(
-            PairFidelity(labels[i], labels[j], *row)
-            for i, j, *row in zip(
-                self.i.tolist(), self.j.tolist(), self.f_quantum.tolist(),
-                self.f_classical.tolist(), self.slack.tolist(), self.saturated.tolist(),
-            )
-        )
+        return tuple(map(PairFidelity._make, zip(
+            [labels[i] for i in self.i.tolist()], [labels[j] for j in self.j.tolist()],
+            self.f_quantum.tolist(), self.f_classical.tolist(), self.slack.tolist(), self.saturated.tolist(),
+        )))
 
 
 def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) -> FidelityBoundReport:
@@ -581,16 +575,15 @@ def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) ->
     of the corresponding channel rows for every class pair i < j.
 
     F_Q comes from ``quantum_fidelity``'s pair kernel over all signals at
-    once; the Bhattacharyya coefficients of class i against all later
-    classes come from one call of ``classical_fidelity``'s kernel. Pairs are
-    listed in row-major order of (i, j).
+    once, and the Bhattacharyya coefficients from one call of
+    ``classical_fidelity``'s kernel at the pairs (i, j) that kernel lists, in
+    row-major order.
     """
     _check_tol(tol)
     _check_alphabets(c, q)
-    reps = q.partition.representatives
-    rows = c.matrix[list(reps)]
+    reps = np.array(q.partition.representatives)
     i, j, f_quantum = _pair_fidelities(q.signals)
-    f_classical = np.concatenate([_bhattacharyya(rows[k], rows[k + 1 :]) for k in range(len(reps))])
+    f_classical = _bhattacharyya(c.matrix[reps[i]], c.matrix[reps[j]])
     slack = f_classical - f_quantum
     ok = not (slack < -tol).any()
     saturated = np.abs(slack) <= tol
@@ -613,6 +606,16 @@ def _json_field(data, key: str):
     if not isinstance(data, dict) or key not in data:
         raise ValueError(f"expected a JSON object with key {key!r}")
     return data[key]
+
+
+def _json_array(data, key: str, of_label_arrays: bool = False) -> list:
+    """``_json_field(data, key)``; ValueError naming ``key`` unless it is a JSON
+    array, and with ``of_label_arrays`` an array of arrays of JSON scalars."""
+    value = _json_field(data, key)
+    if not isinstance(value, list) or of_label_arrays and not all(
+            isinstance(cl, list) and not any(isinstance(x, (list, dict)) for x in cl) for cl in value):
+        raise ValueError(f"{key!r} must be a JSON array{' of arrays of input labels' if of_label_arrays else ''}")
+    return value
 
 
 def _matrix_from_json(data: dict) -> np.ndarray:
@@ -639,7 +642,8 @@ def qfactorization_to_json(q: QFactorization) -> dict:
 def qfactorization_from_json(data: dict, c: Channel) -> QFactorization:
     """Rebuild a Q-factorization against the channel that defines its alphabets."""
     index = {label: i for i, label in enumerate(c.inputs)}
-    partition, states, elements = (_json_field(data, key) for key in ("partition", "states", "povm"))
+    partition = _json_array(data, "partition", of_label_arrays=True)
+    states, elements = (_json_array(data, key) for key in ("states", "povm"))
     try:
         classes = [tuple(index[label] for label in cl) for cl in partition]
     except KeyError as err:

@@ -216,6 +216,19 @@ class TestQFactorize:
         dist.write_text(json.dumps(probs))
         assert run(capsys, "qfactorize", rbsc_file, "--dist", str(dist)) == (2, "", f"validation error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["factorize", "qfactorize"])
+    def test_distribution_is_read_before_any_work(self, capsys, monkeypatch, rbsc_file, tmp_path, command):
+        def refuse(*args):
+            raise AssertionError("the factorization ran before --dist was read")
+
+        monkeypatch.setattr(cli, "causal_factorization", refuse)
+        monkeypatch.setattr(cli, "g0_construct", refuse)
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({"probs": [0.2, 0.3, 0.2, 0.3]}))
+        assert run(capsys, command, rbsc_file, "--dist", str(dist)) == (
+            3, "", f"parse error: {dist}: expected a probability array\n"
+        )
+
     def test_tol_sets_fidelity_saturation(self, capsys, tmp_path):
         # sqrt(p)**2 == p for every entry, so the factorization verifies at
         # any tol, while F_Q and F_C of the pair differ by 2.2e-16 round-off.

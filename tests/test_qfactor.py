@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
+from chanfactor import qfactor
 from chanfactor.casestudy import build_sic_family, family_channel, family_qfactorization
 from chanfactor.channel import (
     AlphabetMismatch,
@@ -778,7 +779,7 @@ class TestOverlapKernel:
         for _ in range(200):
             ens = random_pure_ensemble(rng, int(rng.integers(2, 9)), int(rng.integers(1, 40)))
             psis = ens.pure_states
-            overlaps = _overlaps(psis)
+            overlaps = _overlaps([p.amplitudes for p in psis])
             for i, j in itertools.combinations(range(ens.size), 2):
                 assert overlaps[i, j] == psis[i].overlap(psis[j])
                 modulus = min(np.abs(overlaps[i, j]), 1.0)
@@ -973,6 +974,20 @@ class TestFidelityBound:
                 bare = QFactorization(q.input_labels, q.partition, signals, q.povm)
             self.check_pairs_against_per_pair_reference(c, bare)
 
+    def test_classical_column_reads_the_kernels_pairs(self, monkeypatch):
+        # Both columns come from the kernel's one enumeration: listed in any
+        # other order, each f_classical still belongs to its own (i, j).
+        kernel = qfactor._pair_fidelities
+        monkeypatch.setattr(qfactor, "_pair_fidelities", lambda states: tuple(col[::-1] for col in kernel(states)))
+        c = jittered_channel(np.random.default_rng(139), 30, 12, 7, 0.0)
+        q = g0_construct(c)
+        rows = c.matrix[list(q.partition.representatives)]
+        report = fidelity_bound_check(c, q)
+        assert report.i[0] > report.i[-1]  # the reversed order reached the report
+        for n in range(report.i.size):
+            assert report.f_classical[n] == classical_fidelity(rows[report.i[n]], rows[report.j[n]])
+            assert report.slack[n] == report.f_classical[n] - report.f_quantum[n]
+
     def test_pure_path_matches_uhlmann_formula(self):
         # Witness-free copies of the same states take the general Uhlmann
         # route in quantum_fidelity.
@@ -1132,6 +1147,27 @@ class TestQFactorizationJson:
         c = rbsc(0.3)
         doc = edit(qfactorization_to_json(g0_construct(c)))
         with pytest.raises(ValueError, match=f"^expected a JSON object with key '{key}'$") as err:
+            qfactorization_from_json(doc, c)
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "edit, key, message",
+        [
+            (lambda doc: {**doc, "partition": [1, 2]}, "partition", "a JSON array of arrays of input labels"),
+            (lambda doc: {**doc, "partition": [["0", ["2"]], ["1", "3"]]}, "partition",
+             "a JSON array of arrays of input labels"),
+            (lambda doc: {**doc, "partition": "ab"}, "partition", "a JSON array of arrays of input labels"),
+            (lambda doc: {**doc, "states": {"a": 1, "b": 2}}, "states", "a JSON array"),
+            (lambda doc: {**doc, "states": 5}, "states", "a JSON array"),
+            (lambda doc: {**doc, "povm": 5}, "povm", "a JSON array"),
+        ],
+        ids=["partition-numbers", "list-label", "partition-string", "states-object", "states-number", "povm-number"],
+    )
+    def test_malformed_value_names_the_key(self, edit, key, message):
+        # These escaped as TypeError or KeyError, and "ab" was read as the unknown label 'a'.
+        c = rbsc(0.3)
+        doc = edit(qfactorization_to_json(g0_construct(c)))
+        with pytest.raises(ValueError, match=f"^'{key}' must be {message}$") as err:
             qfactorization_from_json(doc, c)
         assert type(err.value) is ValueError
 

@@ -54,7 +54,8 @@ MUTANTS = [
     ("qfactor.py", "min_eig >= -tol", "min_eig >= -2 * tol"),
     ("qfactor.py", "and comp <= tol", "and comp <= 2 * tol"),
     ("qfactor.py", "cutoff = max(w.max(), 0.0) * UHLMANN_CUTOFF", "cutoff = max(w.max(), 0.0) * 2 * UHLMANN_CUTOFF"),
-    ("qfactor.py", "np.abs(_overlaps(e.pure_states)) > tol", "np.abs(_overlaps(e.pure_states)) > 2 * tol"),
+    ("qfactor.py", "np.abs(_overlaps([p.amplitudes for p in e.pure_states])) > tol",
+     "np.abs(_overlaps([p.amplitudes for p in e.pure_states])) > 2 * tol"),
     ("cli.py", "entropy <= scan.min_entropy + ENTROPY_TOL", "entropy <= scan.min_entropy + 2 * ENTROPY_TOL"),
     ("casestudy.py", "(s > RANK_TOL).sum()", "(s > 2 * RANK_TOL).sum()"),
     # Each precondition helper with its refusal disabled.
@@ -62,6 +63,8 @@ MUTANTS = [
     ("qfactor.py", "if q.input_labels != c.inputs:", "if False:"),
     ("qfactor.py", "if len(dims) != 1:", "if False:"),
     ("linalg.py", "if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:", "if False:"),
+    # Witness-free pairs left at the NaN of their overlap row.
+    ("qfactor.py", "np.isnan(f)", "np.isnan(f) & False"),
 ]
 
 COPIED = ("src", "tests", "bench", "pyproject.toml")
