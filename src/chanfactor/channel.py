@@ -70,6 +70,12 @@ def _number_array(data, what: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def _is_label_array(value) -> bool:
+    """True if ``value`` is a JSON array of JSON scalars (strings, numbers,
+    booleans or null): the rule for every label a document carries."""
+    return isinstance(value, list) and all(x is None or isinstance(x, (str, int, float)) for x in value)
+
+
 class Channel(_checked_record("Channel", "inputs outputs matrix")):
     """Conditional distribution P(Y|X) over finite alphabets.
 
@@ -128,10 +134,7 @@ class Channel(_checked_record("Channel", "inputs outputs matrix")):
         if missing:
             raise InvalidChannel(f"channel document missing keys: {sorted(missing)}")
         for key in ("inputs", "outputs"):
-            labels = data[key]
-            if not isinstance(labels, list) or not all(
-                x is None or isinstance(x, (str, int, float)) for x in labels
-            ):
+            if not _is_label_array(data[key]):
                 raise InvalidChannel(f"{key} must be an array of JSON scalars")
         rows = _number_array(data["rows"], "rows")
         return cls(tuple(data["inputs"]), tuple(data["outputs"]), rows)

@@ -74,9 +74,7 @@ def _load_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {err}") from err
 
 
-def _load_dist(path: str | None, n: int) -> InputDistribution:
-    if path is None:
-        return InputDistribution.uniform(n)
+def _load_dist(path: str) -> InputDistribution:
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("probabilities")
@@ -193,12 +191,20 @@ def _non_finite(o):
             yield from _non_finite(value)
 
 
-def cmd_factorize(args) -> tuple:
+def _channel_inputs(args) -> tuple:
+    """(channel, ``--dist`` distribution or None, report config block) of
+    ``factorize`` and ``qfactorize``, read before any work. A given
+    ``--dist``, an empty path included, is read as a file."""
     c = Channel.from_json(_load_json(args.channel))
-    d = _load_dist(args.dist, c.n_inputs) if args.dist else None
+    d = None if (path := args.dist) is None else _load_dist(path)
+    return c, d, {"command": args.command, "tol": args.tol, "channel": args.channel}
+
+
+def cmd_factorize(args) -> tuple:
+    c, d, config = _channel_inputs(args)
     f = causal_factorization(c, args.tol)
     doc = {
-        "config": {"command": args.command, "tol": args.tol, "channel": args.channel},
+        "config": config,
         "partition": [[c.inputs[x] for x in cl] for cl in f.partition.classes],
         "cardinality": f.partition.n_classes,
         "reduced_channel": f.reduced.to_json(),
@@ -210,17 +216,16 @@ def cmd_factorize(args) -> tuple:
 
 
 def cmd_qfactorize(args) -> tuple:
-    c = Channel.from_json(_load_json(args.channel))
-    d = _load_dist(args.dist, c.n_inputs)
+    c, d, config = _channel_inputs(args)
     q = g0_construct(c, args.tol)
     check = verify_qfactorization(c, q, args.tol)
     bound = fidelity_bound_check(c, q, args.tol)
-    weights = pushforward(d, q.partition)
+    weights = pushforward(InputDistribution.uniform(c.n_inputs) if d is None else d, q.partition)
     rho = average_state(Ensemble(weights.probs, q.signals))
     s_signal = von_neumann_entropy(rho)
     h_z = shannon_entropy(weights)
     doc = {
-        "config": {"command": args.command, "tol": args.tol, "channel": args.channel},
+        "config": config,
         "qfactorization": qfactorization_to_json(q),
         "report": {
             "verified": check.ok,

@@ -25,6 +25,7 @@ from .channel import (
     Partition,
     _bhattacharyya,
     _class_row_violations,
+    _is_label_array,
     _number_array,
     _positive_entropy,
     _weight_vector,
@@ -377,9 +378,9 @@ def verify_qfactorization(c: Channel, q: QFactorization, tol: float = ROW_TOL) -
 
 
 def von_neumann_entropy(rho) -> float:
-    """-tr(rho log2 rho) in qubits, via the eigenvalue spectrum."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else DensityMatrix(rho).matrix
-    return _positive_entropy(np.linalg.eigvalsh(m))
+    """-tr(rho log2 rho) in qubits, via the eigenvalue spectrum of ``rho``: a
+    ``DensityMatrix``, a ``PureState`` or a raw matrix."""
+    return _positive_entropy(np.linalg.eigvalsh(_as_density(rho).matrix))
 
 
 def average_state(e: Ensemble) -> DensityMatrix:
@@ -608,13 +609,11 @@ def _json_field(data, key: str):
     return data[key]
 
 
-def _json_array(data, key: str, of_label_arrays: bool = False) -> list:
-    """``_json_field(data, key)``; ValueError naming ``key`` unless it is a JSON
-    array, and with ``of_label_arrays`` an array of arrays of JSON scalars."""
+def _json_array(data, key: str) -> list:
+    """``_json_field(data, key)``; ValueError naming ``key`` unless it is a JSON array."""
     value = _json_field(data, key)
-    if not isinstance(value, list) or of_label_arrays and not all(
-            isinstance(cl, list) and not any(isinstance(x, (list, dict)) for x in cl) for cl in value):
-        raise ValueError(f"{key!r} must be a JSON array{' of arrays of input labels' if of_label_arrays else ''}")
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON array")
     return value
 
 
@@ -642,7 +641,9 @@ def qfactorization_to_json(q: QFactorization) -> dict:
 def qfactorization_from_json(data: dict, c: Channel) -> QFactorization:
     """Rebuild a Q-factorization against the channel that defines its alphabets."""
     index = {label: i for i, label in enumerate(c.inputs)}
-    partition = _json_array(data, "partition", of_label_arrays=True)
+    partition = _json_field(data, "partition")
+    if not isinstance(partition, list) or not all(map(_is_label_array, partition)):
+        raise ValueError("'partition' must be a JSON array of arrays of input labels")
     states, elements = (_json_array(data, key) for key in ("states", "povm"))
     try:
         classes = [tuple(index[label] for label in cl) for cl in partition]

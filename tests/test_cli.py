@@ -229,6 +229,14 @@ class TestQFactorize:
             3, "", f"parse error: {dist}: expected a probability array\n"
         )
 
+    @pytest.mark.parametrize("command", ["factorize", "qfactorize"])
+    def test_empty_distribution_path_is_read(self, capsys, rbsc_file, command):
+        # factorize took an empty --dist for no --dist, and exited 0 without entropies.
+        code, out, err = run(capsys, command, rbsc_file, "--dist", "")
+        assert (code, out) == (3, "")
+        assert err.startswith("parse error: cannot read : [Errno 2] ") and err.count("\n") == 1
+        assert err == run(capsys, "qfactorize", rbsc_file, "--dist", "")[2]
+
     def test_tol_sets_fidelity_saturation(self, capsys, tmp_path):
         # sqrt(p)**2 == p for every entry, so the factorization verifies at
         # any tol, while F_Q and F_C of the pair differ by 2.2e-16 round-off.

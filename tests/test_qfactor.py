@@ -15,6 +15,7 @@ from chanfactor.channel import (
     AlphabetMismatch,
     Channel,
     InputDistribution,
+    InvalidChannel,
     Partition,
     causal_partition,
     classical_fidelity,
@@ -352,6 +353,12 @@ class TestVonNeumannEntropy:
 
     def test_accepts_plain_matrix(self):
         assert abs(von_neumann_entropy(np.eye(4) / 4) - 2.0) <= 1e-12
+
+    def test_state_forms_give_one_entropy(self):
+        # A pure state, its density matrix and its raw projector are read by one coercion.
+        psi = PureState(np.array([math.sqrt(0.3), math.sqrt(0.7) * np.exp(1j * 0.9)]))
+        entropies = {von_neumann_entropy(s) for s in (psi, DensityMatrix.from_pure(psi), psi.projector())}
+        assert len(entropies) == 1
 
     def test_entropies_keep_their_positive_entry_sums_bit_for_bit(self):
         # References: the sums each entropy took on its own, checked on 8 or
@@ -875,22 +882,35 @@ class TestFidelityBound:
             assert report.ok
             assert report.all_saturated
 
-    def test_phase_twist_gives_strict_inequality(self):
-        c = rbsc(0.3)
-        q = g0_construct(c)
+    @staticmethod
+    def twisted_rbsc() -> QFactorization:
+        """The g0 factorization of rbsc(0.3) with a phase on its second signal."""
+        q = g0_construct(rbsc(0.3))
         twisted_amp = np.array([math.sqrt(0.3), math.sqrt(0.7) * np.exp(1j * 0.9)])
-        twisted = QFactorization(
+        return QFactorization(
             q.input_labels,
             q.partition,
             (q.signals[0], DensityMatrix.from_pure(PureState(twisted_amp))),
             q.povm,
         )
+
+    def test_phase_twist_gives_strict_inequality(self):
+        c = rbsc(0.3)
+        twisted = self.twisted_rbsc()
         assert verify_qfactorization(c, twisted, 1e-12)
         report = fidelity_bound_check(c, twisted)
         assert report.ok
         pair = report.pairs[0]
         assert pair.f_quantum < pair.f_classical - 1e-3
         assert not pair.saturated
+
+    def test_failing_report_is_falsy(self):
+        # The twisted pair's fidelity, about 0.82, exceeds the 0.6 of rbsc(0.1)'s
+        # rows, whose labels and outputs are those of rbsc(0.3).
+        report = fidelity_bound_check(rbsc(0.1), self.twisted_rbsc())
+        assert not report.ok
+        assert not report
+        assert bool(report) is report.ok
 
     @pytest.mark.parametrize(
         "other",
@@ -1170,6 +1190,30 @@ class TestQFactorizationJson:
         with pytest.raises(ValueError, match=f"^'{key}' must be {message}$") as err:
             qfactorization_from_json(doc, c)
         assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "label, refused",
+        [("x", False), (7, False), (2.5, False), (True, False), (None, False),
+         ([1], True), ({"k": 1}, True), (("2",), True)],
+        ids=["str", "int", "float", "bool", "null", "list", "dict", "tuple"],
+    )
+    def test_one_label_rule_for_both_readers(self, label, refused):
+        # A label is a JSON scalar. A tuple passed the partition's rule, then
+        # failed the lookup as AlphabetMismatch.
+        channel_doc = {"inputs": ["a", label], "outputs": ["0"], "rows": [[1.0], [1.0]]}
+        try:
+            Channel.from_json(channel_doc)
+            channel_refuses = False
+        except InvalidChannel as err:
+            channel_refuses = str(err) == "inputs must be an array of JSON scalars"
+        c = rbsc(0.3)
+        doc = qfactorization_to_json(g0_construct(c))
+        doc["partition"][0].append(label)
+        with pytest.raises(ValueError) as err:
+            qfactorization_from_json(doc, c)
+        partition_refuses = str(err.value) == "'partition' must be a JSON array of arrays of input labels"
+        assert partition_refuses is channel_refuses is refused
+        assert partition_refuses or type(err.value) is AlphabetMismatch
 
     def test_unknown_label_rejected(self):
         c = rbsc(0.3)

@@ -65,6 +65,10 @@ MUTANTS = [
     ("linalg.py", "if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:", "if False:"),
     # Witness-free pairs left at the NaN of their overlap row.
     ("qfactor.py", "np.isnan(f)", "np.isnan(f) & False"),
+    # An empty --dist taken for no --dist, and the label rule widened past JSON scalars.
+    ("cli.py", "d = None if (path := args.dist) is None else _load_dist(path)",
+     "d = _load_dist(path) if (path := args.dist) else None"),
+    ("channel.py", "x is None or isinstance(x, (str, int, float))", "not isinstance(x, (list, dict))"),
 ]
 
 COPIED = ("src", "tests", "bench", "pyproject.toml")
