@@ -185,8 +185,8 @@ def entropy_purity_curve(f: SicFamily, n_points: int = 151) -> EntropyPurityCurv
     ts = np.linspace(T_MIN, T_MAX, n_points)
     rho_at = _line_matrices(ts).astype(complex)
     rho_t = _mixture([0.5, 0.5], [rho_at, f.rho_b.matrix])
-    s_at = _entropy_bits(_density_spectrum(rho_at)) + 0.0  # + 0.0 normalizes -0.0
-    s_t = _entropy_bits(_density_spectrum(rho_t)) + 0.0
+    s_at = _entropy_bits(_density_spectrum(rho_at))
+    s_t = _entropy_bits(_density_spectrum(rho_t))
     columns = (ts, s_t, purity(rho_t), s_at)
     return EntropyPurityCurve(tuple(map(CurvePoint._make, zip(*(c.tolist() for c in columns)))))
 

@@ -292,7 +292,7 @@ def _probs(d) -> np.ndarray:
 
 def _positive_entropy(x: np.ndarray) -> float:
     """-sum x log2 x over the positive entries of ``x`` alone, in bits."""
-    return float(_entropy_bits(x[x > 0])) + 0.0  # + 0.0 normalizes -0.0
+    return float(_entropy_bits(x[x > 0]))
 
 
 def shannon_entropy(d) -> float:

@@ -141,7 +141,7 @@ def entropy_from_delta(d) -> np.ndarray | float:
     root = np.sqrt(np.clip(1.0 - 4.0 * d, 0.0, None))
     lam = np.stack([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
     # A view with the eigenvalue axis last; a copy costs more than the reduction.
-    s = _entropy_bits(np.moveaxis(lam, 0, -1)) + 0.0  # + 0.0 normalizes -0.0
+    s = _entropy_bits(np.moveaxis(lam, 0, -1))
     return float(s) if s.ndim == 0 else s
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "Ensemble",
     "FidelityBoundReport",
     "IndexOutOfRange",
-    "PairFidelity",
     "POVM",
     "PovmCheck",
     "PureState",
@@ -412,8 +411,7 @@ def advantage_grid(p_values: np.ndarray, alpha_values: np.ndarray) -> np.ndarray
     for w in weights:
         _weight_vector(w, "weights")
     rho = _mixture(weights.T, projectors[:, :, None])
-    s_rho = _entropy_bits(_density_spectrum(rho)) + 0.0  # + 0.0 normalizes -0.0
-    return _entropy_bits(weights)[None, :] - s_rho
+    return _entropy_bits(weights)[None, :] - _entropy_bits(_density_spectrum(rho))
 
 
 def _as_density(s) -> DensityMatrix:
@@ -447,23 +445,23 @@ def _pair_fidelities(states) -> tuple:
     and ``gram_matrix`` feed it, with ``np.abs`` as the one modulus. A state
     without a witness gives a NaN row, which ``PureState``'s finite
     amplitudes never do, so its pairs come out NaN and go through
-    ``_witness_free_fidelity``.
+    ``_witness_free_fidelity``. Every route is clamped at 1 here, once.
     """
-    k = len(states)
-    i, j = np.nonzero(np.tri(k, k, -1, dtype=bool).T)  # every pair i < j, row-major
+    i, j = np.triu_indices(len(states), 1)
     overlaps = _overlaps([np.full(s.dim, np.nan) if s.pure is None else s.pure.amplitudes for s in states])
-    f = np.minimum(np.abs(overlaps[i, j]), 1.0)
+    f = np.abs(overlaps[i, j])
     for n in np.flatnonzero(np.isnan(f)).tolist():
         f[n] = _witness_free_fidelity(states[i[n]], states[j[n]])
-    return i, j, f
+    return i, j, np.minimum(f, 1.0)
 
 
 def _witness_free_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """F_Q of a pair of which at least one state lacks a pure witness."""
+    """F_Q of a pair of which at least one state lacks a pure witness,
+    before ``_pair_fidelities`` clamps it at 1."""
     if a.pure is not None or b.pure is not None:
         psi, rho = (a.pure, b) if a.pure is not None else (b.pure, a)
         v = psi.amplitudes
-        return min(np.sqrt(max(np.vecdot(v, rho.matrix @ v).real, 0.0)), 1.0)
+        return np.sqrt(max(np.vecdot(v, rho.matrix @ v).real, 0.0))
     # _as_density bounds a's asymmetry by STATE_TOL and its eigenvalues below by -EIG_CLAMP: nothing to check.
     w, v = np.linalg.eigh((a.matrix + a.matrix.conj().T) / 2)
     w, v = w[::-1], v[:, ::-1]  # largest first: the order of the sum below fixes the fidelity's last bits
@@ -475,7 +473,7 @@ def _witness_free_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     # cut them off relative to the leading eigenvalue.
     cutoff = max(w.max(), 0.0) * UHLMANN_CUTOFF
     w = w[w > cutoff]
-    return min(np.sqrt(w).sum(), 1.0) if w.size else 0.0
+    return np.sqrt(w).sum() if w.size else 0.0
 
 
 def merge(e: Ensemble, j: int, k: int) -> tuple:
@@ -524,15 +522,6 @@ def gram_matrix(e: Ensemble) -> np.ndarray:
     return g
 
 
-class PairFidelity(NamedTuple):
-    label_i: object
-    label_j: object
-    f_quantum: float
-    f_classical: float
-    slack: float
-    saturated: bool
-
-
 class FidelityBoundReport(NamedTuple):
     """Class-pair comparison of quantum and classical fidelities, as columns.
 
@@ -563,12 +552,13 @@ class FidelityBoundReport(NamedTuple):
 
     @property
     def pairs(self) -> tuple:
-        """One ``PairFidelity`` per pair, built from the columns."""
+        """One plain ``(label_i, label_j, f_quantum, f_classical, slack,
+        saturated)`` row per pair, read off the columns."""
         labels = self.labels
-        return tuple(map(PairFidelity._make, zip(
+        return tuple(zip(
             [labels[i] for i in self.i.tolist()], [labels[j] for j in self.j.tolist()],
             self.f_quantum.tolist(), self.f_classical.tolist(), self.slack.tolist(), self.saturated.tolist(),
-        )))
+        ))
 
 
 def fidelity_bound_check(c: Channel, q: QFactorization, tol: float = ROW_TOL) -> FidelityBoundReport:

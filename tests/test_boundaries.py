@@ -68,10 +68,10 @@ class TestFidelityBoundOk:
     @pytest.mark.parametrize("k, ok", SIDES, ids=SIDE_IDS)
     def test_signal_beating_the_classical_fidelity(self, k, ok):
         r = self.report(k * ROW_TOL)
-        (pair,) = r.pairs
-        assert (pair.f_classical, pair.slack) == (0.0, -k * ROW_TOL)
+        ((*_, f_classical, slack, saturated),) = r.pairs
+        assert (f_classical, slack) == (0.0, -k * ROW_TOL)
         assert r.ok is ok
-        assert pair.saturated is ok
+        assert saturated is ok
 
 
 class TestClassRowGap:

@@ -609,13 +609,46 @@ class TestDeterminism:
         # 720-point phase-scan digests were taken from the dense phase-stack
         # kernel, before the broadcast-column form. The 18-state phase-scan and
         # the 151-point casestudy digests were taken before the scan reduced on
-        # the deltas and before purity ran over the whole curve.
+        # the deltas and before purity ran over the whole curve. The heatmap
+        # digests were re-taken when the H(w) = 0 cells stopped printing -0.0.
         monkeypatch.chdir(tmp_path)
         write_golden_inputs(tmp_path)
         for argv, digests in GOLDEN.items():
             code, out, err = run(capsys, *argv)
             assert code == 0
             assert (sha256(out), sha256(err)) == digests, argv
+
+
+def negative_zeros(out: str) -> list:
+    """The numbers of a JSON report, or the fields of a CSV below its
+    header, that are written as a negative zero."""
+    if out.startswith("{"):
+        numbers = []
+        json.loads(out, parse_float=numbers.append, parse_int=numbers.append)
+    else:
+        numbers = [field for line in out.splitlines()[1:] for field in line.split(",")]
+    return [n for n in numbers if n.startswith("-") and float(n) == 0.0]
+
+
+class TestNoNegativeZero:
+    """A zero prints as 0.0: ``_entropy_bits`` turns every -0.0 entropy into 0.0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--points", "2"], ["--points", "5", "--alpha-points", "4"], ["--points", "101"],
+    ], ids=["2", "5x4", "101"])
+    def test_heatmap(self, capsys, argv):
+        code, out, _ = run(capsys, "heatmap", *argv)
+        assert code == 0
+        assert negative_zeros(out) == []
+
+    def test_golden_commands(self, capsys, tmp_path, monkeypatch):
+        # The casestudy CSVs and every JSON report of GOLDEN.
+        monkeypatch.chdir(tmp_path)
+        write_golden_inputs(tmp_path)
+        for argv in GOLDEN:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert negative_zeros(out) == [], argv
 
 
 def cli_child(argv, cwd=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=None):
@@ -802,9 +835,9 @@ def sha256(data) -> str:
 EMPTY = sha256("")
 GOLDEN = {
     ("heatmap", "--points", "7"): (
-        "1d22e477f2f62626361c6082164644e3212c891644702ff31b67bee933d463f4", EMPTY),
+        "60e36574b394abcc9878afe2ef8cb1f21ad22e3aa4c16b6b93e99fe9e530ee39", EMPTY),
     ("heatmap", "--points", "5", "--alpha-points", "4"): (
-        "45a35e12f0fe09bedd4a191fecd950be7a00cf7c320c29c8a0dd5f45509dc4ec", EMPTY),
+        "e07b30402235037040eca508b69cec829e779952898ee8919c883b3d2d4de619", EMPTY),
     ("casestudy", "--points", "9"): (
         "f605a70ebee9bf420f1d049bd090bfe6c5f6bfdb8d62a4e7a00620e5a3c529e8",
         "4fdd5d1cd1c3d1ce43c61bef4c630a8b1e492c20414768a8a5a5fef5e382e0ae"),
@@ -962,9 +995,9 @@ class TestJsonText:
     @staticmethod
     def pair_dicts(report) -> list:
         return [
-            {"pair": [p.label_i, p.label_j], "f_quantum": p.f_quantum, "f_classical": p.f_classical,
-             "slack": p.slack, "saturated": p.saturated}
-            for p in report.pairs
+            {"pair": [label_i, label_j], "f_quantum": f_quantum, "f_classical": f_classical,
+             "slack": slack, "saturated": saturated}
+            for label_i, label_j, f_quantum, f_classical, slack, saturated in report.pairs
         ]
 
     @pytest.mark.parametrize("labels", [["a", 7, 2.5, True, None, "q\"\\é"], ["only"]], ids=["every-kind", "one-class"])

@@ -60,7 +60,7 @@ def measure(c, probs):
     q = g0_construct(c)
     weights = pushforward(InputDistribution(probs), q.partition)
     s = von_neumann_entropy(average_state(Ensemble(weights.probs, q.signals)))
-    pairs = [(p.f_quantum, p.f_classical) for p in fidelity_bound_check(c, q).pairs]
+    pairs = [(f_quantum, f_classical) for _, _, f_quantum, f_classical, *_ in fidelity_bound_check(c, q).pairs]
     return q.partition, shannon_entropy(probs), shannon_entropy(weights), s, pairs
 
 

@@ -40,7 +40,7 @@ DIGESTS = {
 # The same for the sweeps commands at the benchmark's own sizes: heatmap
 # --points 101, casestudy --points 10001 and the 3- and 18-state scans.
 SWEEPS_DIGESTS = {
-    "heatmap": ("bd0722950e19e45e4c06f24f8cee3f78fcc4d507f008b88c90c6633e470f2dd6", EMPTY),
+    "heatmap": ("214d1d45298925c17f2385061d0b55870a39d4d9db0ca2093ae771d10e44cd41", EMPTY),
     "casestudy": (
         "c9929146ff258f31cd59a12d7e17d85754a5f331f76e0ec31159b19460a16acf",
         "7d91cf725bb06cb351c9f889a14133dd6ca3e4501680c6fc0e86b4c0145e6830"),

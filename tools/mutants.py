@@ -69,6 +69,9 @@ MUTANTS = [
     ("cli.py", "d = None if (path := args.dist) is None else _load_dist(path)",
      "d = _load_dist(path) if (path := args.dist) else None"),
     ("channel.py", "x is None or isinstance(x, (str, int, float))", "not isinstance(x, (list, dict))"),
+    # The one negative-zero rule of the entropies, and the one clamp of F_Q at 1.
+    ("linalg.py", ".sum(axis=-1) + 0.0", ".sum(axis=-1)"),
+    ("qfactor.py", "return i, j, np.minimum(f, 1.0)", "return i, j, f"),
 ]
 
 COPIED = ("src", "tests", "bench", "pyproject.toml")
