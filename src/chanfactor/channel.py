@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._documents import is_label_array, number_array, required
 from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _check_tol, _checked_record, _entropy_bits, _freeze
 
 __all__ = [
@@ -55,27 +56,6 @@ def _weight_vector(values, name: str) -> np.ndarray:
     return _freeze(w)
 
 
-def _number_array(data, what: str) -> np.ndarray:
-    """Float array of JSON ``data``; InvalidChannel unless a rectangular array of numbers."""
-    try:
-        a = np.asarray(data)
-    except ValueError:
-        raise InvalidChannel(f"{what} must form a rectangular array") from None
-    flat = data
-    for _ in range(a.ndim - 1):
-        flat = itertools.chain.from_iterable(flat)
-    # numpy casts a JSON true/false mixed with numbers to 1/0, so look at the entries.
-    if a.dtype.kind not in "iuf" or (a.ndim and bool in map(type, flat)):
-        raise InvalidChannel(f"{what} must hold only numbers")
-    return a.astype(float, copy=False)
-
-
-def _is_label_array(value) -> bool:
-    """True if ``value`` is a JSON array of JSON scalars (strings, numbers,
-    booleans or null): the rule for every label a document carries."""
-    return isinstance(value, list) and all(x is None or isinstance(x, (str, int, float)) for x in value)
-
-
 class Channel(_checked_record("Channel", "inputs outputs matrix")):
     """Conditional distribution P(Y|X) over finite alphabets.
 
@@ -100,8 +80,10 @@ class Channel(_checked_record("Channel", "inputs outputs matrix")):
         if len(inputs) < 1 or len(outputs) < 1:
             raise InvalidChannel("alphabets must be nonempty")
         for side, labels in (("input", inputs), ("output", outputs)):
-            if len(set(labels)) != len(labels):
-                raise InvalidChannel(f"duplicate {side} labels")
+            first = {}
+            for n, label in enumerate(labels):
+                if (k := first.setdefault(label, n)) != n:
+                    raise InvalidChannel(f"{side}s {k} and {n} share a label: {labels[k]!r} == {label!r} in Python")
         if not np.isfinite(m).all():
             raise InvalidChannel("entries must be finite")
         if m.min() < -NEG_TOL or m.max() > 1 + NEG_TOL:
@@ -127,17 +109,16 @@ class Channel(_checked_record("Channel", "inputs outputs matrix")):
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Channel":
-        if not isinstance(data, dict):
-            raise InvalidChannel("channel document must be a JSON object")
-        missing = {"inputs", "outputs", "rows"} - set(data)
-        if missing:
-            raise InvalidChannel(f"channel document missing keys: {sorted(missing)}")
-        for key in ("inputs", "outputs"):
-            if not _is_label_array(data[key]):
-                raise InvalidChannel(f"{key} must be an array of JSON scalars")
-        rows = _number_array(data["rows"], "rows")
-        return cls(tuple(data["inputs"]), tuple(data["outputs"]), rows)
+    def from_json(cls, data) -> "Channel":
+        """A channel document: an object with label arrays ``inputs``, ``outputs`` and number array ``rows``."""
+        try:
+            for key in ("inputs", "outputs"):
+                if not is_label_array(required(data, key)):
+                    raise ValueError(f"{key} must be an array of strings, finite numbers, booleans or nulls")
+            rows = number_array(required(data, "rows"), "rows")
+        except ValueError as err:
+            raise InvalidChannel(err) from None
+        return cls(data["inputs"], data["outputs"], rows)
 
 
 def rbsc(p: float) -> Channel:
@@ -200,6 +181,11 @@ class InputDistribution(_checked_record("InputDistribution", "probs")):
 
     def __new__(cls, probs):
         return super().__new__(cls, _weight_vector(probs, "probabilities"))
+
+    @classmethod
+    def from_json(cls, data) -> "InputDistribution":
+        """A distribution document: a number array in input order, or an object holding one as ``probabilities``."""
+        return cls(number_array(required(data, "probabilities") if isinstance(data, dict) else data, "probabilities"))
 
     @classmethod
     def uniform(cls, n: int) -> "InputDistribution":
@@ -285,9 +271,8 @@ def causal_factorization(c: Channel, tol: float = ROW_TOL) -> Factorization:
 
 
 def _probs(d) -> np.ndarray:
-    if isinstance(d, InputDistribution):
-        return d.probs
-    return InputDistribution(np.asarray(d, dtype=float)).probs
+    """The probability vector of ``d``, checked as ``InputDistribution`` checks it."""
+    return d.probs if isinstance(d, InputDistribution) else _weight_vector(d, "probabilities")
 
 
 def _positive_entropy(x: np.ndarray) -> float:
@@ -315,7 +300,7 @@ def pushforward(d, p: Partition) -> InputDistribution:
 def _bhattacharyya(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_k sqrt(a_k b_k) over the last axis of the broadcast ``a`` and ``b``,
     round-off negatives clipped to 0."""
-    return np.sqrt(np.clip(a, 0, None) * np.clip(b, 0, None)).sum(axis=-1)
+    return np.sqrt(np.maximum(a, 0.0) * np.maximum(b, 0.0)).sum(axis=-1)
 
 
 def classical_fidelity(q1, q2) -> float:

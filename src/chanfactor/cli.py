@@ -8,7 +8,8 @@ byte-identical bytes on every run.
 
 Each ``cmd_*`` returns (report, stderr summary, exit code); ``main`` alone
 writes them and maps every failure to an exit code: 0 success, 2 validation
-failure (an input too large to allocate included), 3 parse or I/O error. A
+failure (a schema violation or an input too large to allocate included), 3
+input that cannot be read or decoded as JSON, or a failed write. A
 failed ``--out`` write may leave a partial file. Every byte on stdout or
 stderr, argparse's help, usage and error text included, goes through
 ``_write``. ``run``, the entry point, ends the process with ``os._exit``.
@@ -20,7 +21,6 @@ import argparse
 import contextlib
 import errno
 import json
-import math
 import os
 import sys
 from itertools import repeat
@@ -29,10 +29,10 @@ from json.encoder import c_encode_basestring_ascii, c_make_encoder
 import numpy as np
 
 from . import qfactor
+from ._documents import ParseError, read_json
 from .channel import (
     Channel,
     InputDistribution,
-    _number_array,
     causal_factorization,
     pushforward,
     shannon_entropy,
@@ -53,34 +53,11 @@ from .qfactor import (
     von_neumann_entropy,
 )
 
-__all__ = ["ParseError", "build_parser", "main", "run"]
+__all__ = ["build_parser", "main", "run"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PARSE = 3
-
-
-class ParseError(ValueError):
-    """Input file could not be read or decoded as JSON."""
-
-
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from err
-    except (json.JSONDecodeError, RecursionError) as err:
-        raise ParseError(f"{path} is not valid JSON: {err}") from err
-
-
-def _load_dist(path: str) -> InputDistribution:
-    data = _load_json(path)
-    if isinstance(data, dict):
-        data = data.get("probabilities")
-    if data is None:
-        raise ParseError(f"{path}: expected a probability array")
-    return InputDistribution(_number_array(data, "probabilities"))
 
 
 def _tol(text: str) -> float:
@@ -102,8 +79,7 @@ def _json_text(doc) -> str:
     other value goes through CPython's C encoder in one call, made by an
     encoder whose item separator carries the indentation of its items. A
     ``FidelityBoundReport`` is written as the list of its pair dicts, from
-    its columns with one row template. A non-finite float raises the
-    ValueError json.dumps raises for the first one it meets.
+    its columns with one row template. A non-finite float raises ValueError.
     """
     encoders = {}
 
@@ -145,11 +121,7 @@ def _json_text(doc) -> str:
             return "[]"
         if not all(np.isfinite(col).all() for col in (r.f_quantum, r.f_classical, r.slack)):
             raise ValueError("non-finite fidelity")
-        labels = []
-        for label in r.labels:
-            text = []
-            emit(label, level + 3, text)
-            labels.append("".join(text))
+        labels = ["".join(scalars(0)(label, 0)) for label in r.labels]  # JSON scalars, by the channel's label rule
         p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
         row = (
             f'{p1}{{{p2}"pair": [{p3}%s,{p3}%s{p2}],{p2}"f_quantum": %s,{p2}"f_classical": %s,'
@@ -166,37 +138,17 @@ def _json_text(doc) -> str:
         return "[" + ",".join([row % values for values in rows]) + pad + "]"
 
     out = []
-    try:
-        emit(doc, 0, out)
-    except ValueError:
-        bad = next(_non_finite(doc), None)
-        if bad is None:
-            raise
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}") from None
+    emit(doc, 0, out)
     out.append("\n")
     return "".join(out)
-
-
-def _non_finite(o):
-    """The non-finite floats of ``o``, keys included, in the order json.dumps meets them."""
-    if isinstance(o, float):
-        if not math.isfinite(o):
-            yield o
-    elif isinstance(o, dict):
-        for key, value in o.items():
-            yield from _non_finite(key)
-            yield from _non_finite(value)
-    elif isinstance(o, (list, tuple)):
-        for value in o.pairs if isinstance(o, FidelityBoundReport) else o:
-            yield from _non_finite(value)
 
 
 def _channel_inputs(args) -> tuple:
     """(channel, ``--dist`` distribution or None, report config block) of
     ``factorize`` and ``qfactorize``, read before any work. A given
     ``--dist``, an empty path included, is read as a file."""
-    c = Channel.from_json(_load_json(args.channel))
-    d = None if (path := args.dist) is None else _load_dist(path)
+    c = Channel.from_json(read_json(args.channel))
+    d = None if (path := args.dist) is None else InputDistribution.from_json(read_json(path))
     return c, d, {"command": args.command, "tol": args.tol, "channel": args.channel}
 
 
@@ -258,12 +210,7 @@ def cmd_heatmap(args) -> tuple:
 def cmd_phase_scan(args) -> tuple:
     from . import phase
 
-    data = _load_json(args.ensemble)
-    if not isinstance(data, dict) or not {"weights", "a", "b"} <= set(data):
-        raise ParseError(f"{args.ensemble}: expected keys weights, a, b")
-    ens = phase.PhasedQubitEnsemble.from_magnitudes(
-        *(_number_array(data[key], key) for key in ("weights", "a", "b"))
-    )
+    ens = phase.PhasedQubitEnsemble.from_json(read_json(args.ensemble))
     if ens.size > 3 and args.points is not None:
         raise ValueError(
             f"--points sets the phase grid, which runs for at most 3 states; this ensemble has {ens.size}"

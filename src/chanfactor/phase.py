@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._documents import number_array, required
 from .channel import _weight_vector
 from .linalg import STATE_TOL, _checked_record, _entropy_bits, _freeze
 from .qfactor import Ensemble, PureState
@@ -87,6 +88,11 @@ class PhasedQubitEnsemble(_checked_record("PhasedQubitEnsemble", "weights a b ph
     def from_magnitudes(cls, weights, a, b) -> "PhasedQubitEnsemble":
         a = np.asarray(a, dtype=float)
         return cls(weights, a, b, np.zeros(a.size))
+
+    @classmethod
+    def from_json(cls, data) -> "PhasedQubitEnsemble":
+        """An ensemble document: an object with number arrays ``weights``, ``a`` and ``b``; every phase 0."""
+        return cls.from_magnitudes(*(number_array(required(data, key), key) for key in ("weights", "a", "b")))
 
     @property
     def size(self) -> int:

@@ -15,18 +15,18 @@ precision.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from ._documents import is_label_array, json_array, number_array, required
 from .channel import (
     AlphabetMismatch,
     Channel,
     Partition,
     _bhattacharyya,
     _class_row_violations,
-    _is_label_array,
-    _number_array,
     _positive_entropy,
     _weight_vector,
     causal_partition,
@@ -447,12 +447,19 @@ def _pair_fidelities(states) -> tuple:
     amplitudes never do, so its pairs come out NaN and go through
     ``_witness_free_fidelity``. Every route is clamped at 1 here, once.
     """
-    i, j = np.triu_indices(len(states), 1)
+    i, j = _pair_indices(len(states))
     overlaps = _overlaps([np.full(s.dim, np.nan) if s.pure is None else s.pure.amplitudes for s in states])
     f = np.abs(overlaps[i, j])
     for n in np.flatnonzero(np.isnan(f)).tolist():
         f[n] = _witness_free_fidelity(states[i[n]], states[j[n]])
     return i, j, np.minimum(f, 1.0)
+
+
+@lru_cache(maxsize=8)
+def _pair_indices(k: int) -> tuple:
+    """Read-only (i, j) of the pairs i < j < k in row-major order; cached, as
+    ``np.triu_indices`` costs more than the rest of a two-state ``quantum_fidelity``."""
+    return tuple(map(_freeze, np.triu_indices(k, 1)))
 
 
 def _witness_free_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -592,26 +599,11 @@ def _matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def _json_field(data, key: str):
-    """``data[key]``; ValueError naming ``key`` unless ``data`` is a JSON object that holds it."""
-    if not isinstance(data, dict) or key not in data:
-        raise ValueError(f"expected a JSON object with key {key!r}")
-    return data[key]
-
-
-def _json_array(data, key: str) -> list:
-    """``_json_field(data, key)``; ValueError naming ``key`` unless it is a JSON array."""
-    value = _json_field(data, key)
-    if not isinstance(value, list):
-        raise ValueError(f"{key!r} must be a JSON array")
-    return value
-
-
 def _matrix_from_json(data: dict) -> np.ndarray:
-    d = _json_field(data, "dim")
+    d = required(data, "dim")
     if type(d) is not int:  # a JSON integer: not a float such as 2.9, a string or a boolean
         raise ValueError(f"dim must be an integer, got {d!r}")
-    m = _number_array(_json_field(data, "re"), "re") + 1j * _number_array(_json_field(data, "im"), "im")
+    m = number_array(required(data, "re"), "re") + 1j * number_array(required(data, "im"), "im")
     if m.shape != (d, d):
         raise ValueError(f"matrix payload shape {m.shape} does not match dim {d}")
     return m
@@ -631,10 +623,10 @@ def qfactorization_to_json(q: QFactorization) -> dict:
 def qfactorization_from_json(data: dict, c: Channel) -> QFactorization:
     """Rebuild a Q-factorization against the channel that defines its alphabets."""
     index = {label: i for i, label in enumerate(c.inputs)}
-    partition = _json_field(data, "partition")
-    if not isinstance(partition, list) or not all(map(_is_label_array, partition)):
+    partition = required(data, "partition")
+    if not isinstance(partition, list) or not all(map(is_label_array, partition)):
         raise ValueError("'partition' must be a JSON array of arrays of input labels")
-    states, elements = (_json_array(data, key) for key in ("states", "povm"))
+    states, elements = (json_array(data, key) for key in ("states", "povm"))
     try:
         classes = [tuple(index[label] for label in cl) for cl in partition]
     except KeyError as err:

@@ -60,6 +60,17 @@ class TestChannelType:
         with pytest.raises(InvalidChannel):
             Channel(("a", "a"), ("0",), [[1.0], [1.0]])
 
+    @pytest.mark.parametrize("labels, message", [
+        ([1, True], "inputs 0 and 1 share a label: 1 == True in Python"),
+        (["x", 1, 1.0], "inputs 1 and 2 share a label: 1 == 1.0 in Python"),
+        (["a", "a"], "inputs 0 and 1 share a label: 'a' == 'a' in Python"),
+    ], ids=["1-true", "1-1.0", "a-a"])
+    def test_duplicate_labels_are_named(self, labels, message):
+        # JSON's 1, 1.0 and true are distinct, but Python compares them equal,
+        # so a channel keyed by its labels cannot tell them apart.
+        with pytest.raises(InvalidChannel, match=f"^{re.escape(message)}$"):
+            Channel.from_json({"inputs": labels, "outputs": ["0"], "rows": [[1.0]] * len(labels)})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entry(self, bad):
         with pytest.raises(InvalidChannel, match="finite"):

@@ -1170,10 +1170,12 @@ class TestQFactorizationJson:
             (lambda doc: {}, "partition"),
             (lambda doc: [doc], "partition"),
             (lambda doc: {k: v for k, v in doc.items() if k != "states"}, "states"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "povm"}, "povm"),
             (lambda doc: {**doc, "povm": [1, 2]}, "dim"),
             (lambda doc: {**doc, "povm": [{k: v for k, v in e.items() if k != "re"} for e in doc["povm"]]}, "re"),
+            (lambda doc: {**doc, "states": [{k: v for k, v in e.items() if k != "im"} for e in doc["states"]]}, "im"),
         ],
-        ids=["empty", "list", "no-states", "povm-numbers", "no-re"],
+        ids=["empty", "list", "no-states", "no-povm", "povm-numbers", "no-re", "no-im"],
     )
     def test_malformed_document_names_the_key(self, edit, key):
         # {} was read as an unknown label 'partition'; the others escaped as KeyError or TypeError.
@@ -1193,8 +1195,15 @@ class TestQFactorizationJson:
             (lambda doc: {**doc, "states": {"a": 1, "b": 2}}, "states", "a JSON array"),
             (lambda doc: {**doc, "states": 5}, "states", "a JSON array"),
             (lambda doc: {**doc, "povm": 5}, "povm", "a JSON array"),
+            (lambda doc: {**doc, "partition": [["0", math.nan], ["1", "3"]]}, "partition",
+             "a JSON array of arrays of input labels"),
+            (lambda doc: {**doc, "partition": [["0", "2"], [math.inf, "3"]]}, "partition",
+             "a JSON array of arrays of input labels"),
+            (lambda doc: {**doc, "partition": json.loads('[["0", "2"], ["1", 1e400]]')}, "partition",
+             "a JSON array of arrays of input labels"),
         ],
-        ids=["partition-numbers", "list-label", "partition-string", "states-object", "states-number", "povm-number"],
+        ids=["partition-numbers", "list-label", "partition-string", "states-object", "states-number", "povm-number",
+             "nan-label", "infinity-label", "1e400-label"],
     )
     def test_malformed_value_names_the_key(self, edit, key, message):
         # These escaped as TypeError or KeyError, and "ab" was read as the unknown label 'a'.
@@ -1207,8 +1216,8 @@ class TestQFactorizationJson:
     @pytest.mark.parametrize(
         "label, refused",
         [("x", False), (7, False), (2.5, False), (True, False), (None, False),
-         ([1], True), ({"k": 1}, True), (("2",), True)],
-        ids=["str", "int", "float", "bool", "null", "list", "dict", "tuple"],
+         ([1], True), ({"k": 1}, True), (("2",), True), (math.nan, True), (-math.inf, True)],
+        ids=["str", "int", "float", "bool", "null", "list", "dict", "tuple", "nan", "-inf"],
     )
     def test_one_label_rule_for_both_readers(self, label, refused):
         # A label is a JSON scalar. A tuple passed the partition's rule, then
@@ -1218,7 +1227,7 @@ class TestQFactorizationJson:
             Channel.from_json(channel_doc)
             channel_refuses = False
         except InvalidChannel as err:
-            channel_refuses = str(err) == "inputs must be an array of JSON scalars"
+            channel_refuses = str(err) == "inputs must be an array of strings, finite numbers, booleans or nulls"
         c = rbsc(0.3)
         doc = qfactorization_to_json(g0_construct(c))
         doc["partition"][0].append(label)

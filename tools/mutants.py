@@ -65,10 +65,13 @@ MUTANTS = [
     ("linalg.py", "if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:", "if False:"),
     # Witness-free pairs left at the NaN of their overlap row.
     ("qfactor.py", "np.isnan(f)", "np.isnan(f) & False"),
-    # An empty --dist taken for no --dist, and the label rule widened past JSON scalars.
-    ("cli.py", "d = None if (path := args.dist) is None else _load_dist(path)",
-     "d = _load_dist(path) if (path := args.dist) else None"),
-    ("channel.py", "x is None or isinstance(x, (str, int, float))", "not isinstance(x, (list, dict))"),
+    # An empty --dist taken for no --dist, the label rule widened past JSON scalars or to
+    # non-finite numbers, and the one missing-key rule blind to a missing key.
+    ("cli.py", "d = None if (path := args.dist) is None else InputDistribution.from_json(read_json(path))",
+     "d = InputDistribution.from_json(read_json(path)) if (path := args.dist) else None"),
+    ("_documents.py", "x is None or isinstance(x, (str, int))", "not isinstance(x, (list, dict))"),
+    ("_documents.py", "(isinstance(x, float) and math.isfinite(x))", "isinstance(x, float)"),
+    ("_documents.py", "if not isinstance(data, dict) or key not in data:", "if not isinstance(data, dict):"),
     # The one negative-zero rule of the entropies, and the one clamp of F_Q at 1.
     ("linalg.py", ".sum(axis=-1) + 0.0", ".sum(axis=-1)"),
     ("qfactor.py", "return i, j, np.minimum(f, 1.0)", "return i, j, f"),
