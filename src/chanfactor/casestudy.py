@@ -175,10 +175,10 @@ def entropy_purity_curve(f: SicFamily, n_points: int = 151) -> EntropyPurityCurv
     """Sample t uniformly over [-0.5, 1] (endpoints included) and tabulate
     entropy and purity of the equal-weight average state.
 
-    Runs the kernels of ``average_state`` and ``DensityMatrix``, and
-    ``purity``, once over the stack of all t, so every entropy equals the
-    per-point ``von_neumann_entropy`` and every purity the per-point
-    ``purity`` bit for bit.
+    Runs the kernels of ``average_state``, ``DensityMatrix``,
+    ``von_neumann_entropy`` and ``purity`` once over the stack of all t, so
+    every entropy equals the per-point ``von_neumann_entropy`` and every
+    purity the per-point ``purity`` bit for bit.
     """
     if n_points < 3:
         raise ValueError("need at least 3 sample points")

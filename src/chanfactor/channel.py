@@ -253,6 +253,12 @@ def _check_partition_of(c: Channel, p: Partition) -> None:
         raise AlphabetMismatch(f"partition covers {p.size} elements, channel has {c.n_inputs} inputs")
 
 
+def _check_distribution_of(c: Channel, d: InputDistribution) -> None:
+    """AlphabetMismatch unless ``d`` is a distribution over the inputs of ``c``."""
+    if d.probs.size != c.n_inputs:
+        raise AlphabetMismatch(f"distribution over {d.probs.size} elements, channel has {c.n_inputs} inputs")
+
+
 def factorization_from_partition(c: Channel, p: Partition) -> Factorization:
     """Factorization whose reduced rows are read off class representatives."""
     _check_partition_of(c, p)
@@ -275,14 +281,9 @@ def _probs(d) -> np.ndarray:
     return d.probs if isinstance(d, InputDistribution) else _weight_vector(d, "probabilities")
 
 
-def _positive_entropy(x: np.ndarray) -> float:
-    """-sum x log2 x over the positive entries of ``x`` alone, in bits."""
-    return float(_entropy_bits(x[x > 0]))
-
-
 def shannon_entropy(d) -> float:
     """Entropy -sum p log2 p in bits, with 0 log 0 = 0."""
-    return _positive_entropy(_probs(d))
+    return float(_entropy_bits(_probs(d)))
 
 
 def pushforward(d, p: Partition) -> InputDistribution:

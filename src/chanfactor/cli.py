@@ -33,6 +33,7 @@ from ._documents import ParseError, read_json
 from .channel import (
     Channel,
     InputDistribution,
+    _check_distribution_of,
     causal_factorization,
     pushforward,
     shannon_entropy,
@@ -145,10 +146,12 @@ def _json_text(doc) -> str:
 
 def _channel_inputs(args) -> tuple:
     """(channel, ``--dist`` distribution or None, report config block) of
-    ``factorize`` and ``qfactorize``, read before any work. A given
-    ``--dist``, an empty path included, is read as a file."""
+    ``factorize`` and ``qfactorize``, read and matched before any work. A
+    given ``--dist``, an empty path included, is read as a file."""
     c = Channel.from_json(read_json(args.channel))
     d = None if (path := args.dist) is None else InputDistribution.from_json(read_json(path))
+    if d is not None:
+        _check_distribution_of(c, d)
     return c, d, {"command": args.command, "tol": args.tol, "channel": args.channel}
 
 

@@ -64,13 +64,9 @@ def _entropy_bits(w: np.ndarray) -> np.ndarray:
     """-sum w log2 w over the last axis, entries <= 0 counting as 0.
 
     A zero entropy is 0.0, never -0.0 (the ``+ 0.0``): this is the one home
-    of that rule, for every entropy the package prints.
-
-    numpy adds fewer than 8 terms one after another, so for rows of fewer
-    than 8 entries the zero terms change nothing and each result is
-    bit-identical to the sum over the positive entries alone (as
-    ``shannon_entropy`` and ``von_neumann_entropy`` take it). From 8 entries
-    on, pairwise summation may group the terms differently.
+    of that rule, for every entropy the package prints. The per-state
+    ``shannon_entropy`` and ``von_neumann_entropy`` pass whole vectors and
+    spectra as the sweeps pass whole rows, so both agree bit for bit.
     """
     pos = w > 0
     return -np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0).sum(axis=-1) + 0.0

@@ -27,7 +27,6 @@ from .channel import (
     Partition,
     _bhattacharyya,
     _class_row_violations,
-    _positive_entropy,
     _weight_vector,
     causal_partition,
 )
@@ -377,9 +376,9 @@ def verify_qfactorization(c: Channel, q: QFactorization, tol: float = ROW_TOL) -
 
 
 def von_neumann_entropy(rho) -> float:
-    """-tr(rho log2 rho) in qubits, via the eigenvalue spectrum of ``rho``: a
-    ``DensityMatrix``, a ``PureState`` or a raw matrix."""
-    return _positive_entropy(np.linalg.eigvalsh(_as_density(rho).matrix))
+    """-tr(rho log2 rho) in qubits, via the ``_density_spectrum`` of ``rho``:
+    a ``DensityMatrix``, a ``PureState`` or a raw matrix."""
+    return float(_entropy_bits(_density_spectrum(_as_density(rho).matrix)))
 
 
 def average_state(e: Ensemble) -> DensityMatrix:
@@ -396,8 +395,8 @@ def advantage_grid(p_values: np.ndarray, alpha_values: np.ndarray) -> np.ndarray
     quantum side mixes the square-root-amplitude signal pair
     (sqrt(1-p), sqrt(p)), (sqrt(p), sqrt(1-p)) with the same weights.
 
-    Runs the kernels of ``PureState``, ``average_state`` and
-    ``DensityMatrix`` once over the stacks of all p and all alpha, so every
+    Runs the kernels of ``PureState``, ``average_state``, ``DensityMatrix``
+    and both entropies once over the stacks of all p and all alpha, so every
     cell equals ``H(w) - von_neumann_entropy(average_state(...))`` of the
     per-state path bit for bit.
     """
@@ -633,10 +632,9 @@ def qfactorization_from_json(data: dict, c: Channel) -> QFactorization:
         raise AlphabetMismatch(f"unknown input label {err.args[0]!r}") from None
     if len(classes) != len(states):
         raise ValueError("need exactly one state per partition class")
-    # Partition canonicalizes class order (by lowest member), so states must
-    # be permuted alongside their classes.
-    order = sorted(range(len(classes)), key=lambda k: min(classes[k], default=-1))
-    part = Partition(tuple(classes[k] for k in order), c.n_inputs)
-    signals = tuple(DensityMatrix(_matrix_from_json(states[k])) for k in order)
+    part = Partition(classes, c.n_inputs)
+    # Partition fixes the class order; each class takes the state listed beside its members.
+    state_of = {frozenset(cl): s for cl, s in zip(classes, states)}
+    signals = tuple(DensityMatrix(_matrix_from_json(state_of[frozenset(cl)])) for cl in part.classes)
     povm = POVM(tuple(_matrix_from_json(e) for e in elements), c.outputs)
     return QFactorization(c.inputs, part, signals, povm)

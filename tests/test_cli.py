@@ -223,17 +223,30 @@ class TestQFactorize:
         dist.write_text(json.dumps(probs))
         assert run(capsys, "qfactorize", rbsc_file, "--dist", str(dist)) == (2, "", f"validation error: {message}\n")
 
-    @pytest.mark.parametrize("command", ["factorize", "qfactorize"])
-    def test_distribution_is_read_before_any_work(self, capsys, monkeypatch, rbsc_file, tmp_path, command):
+    @pytest.fixture
+    def no_factorization(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the factorization ran before --dist was read")
+            raise AssertionError("the factorization ran before --dist was read and checked")
 
         monkeypatch.setattr(cli, "causal_factorization", refuse)
         monkeypatch.setattr(cli, "g0_construct", refuse)
+
+    @pytest.mark.parametrize("command", ["factorize", "qfactorize"])
+    def test_distribution_is_read_before_any_work(self, capsys, no_factorization, rbsc_file, tmp_path, command):
         dist = tmp_path / "dist.json"
         dist.write_text(json.dumps({"probs": [0.2, 0.3, 0.2, 0.3]}))
         assert run(capsys, command, rbsc_file, "--dist", str(dist)) == (
             2, "", "validation error: expected a JSON object with key 'probabilities'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["factorize", "qfactorize"])
+    def test_distribution_length_is_checked_before_any_work(
+        self, capsys, no_factorization, rbsc_file, tmp_path, command
+    ):
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps([0.5, 0.5]))
+        assert run(capsys, command, rbsc_file, "--dist", str(dist)) == (
+            2, "", "validation error: distribution over 2 elements, channel has 4 inputs\n"
         )
 
     @pytest.mark.parametrize("command", ["factorize", "qfactorize"])

@@ -26,8 +26,8 @@ def sha256(text: str) -> str:
 
 # sha256 of (stdout, stderr) of each seed-1 command at those scales, its
 # inputs built into the relative directory "work", so that the paths the
-# reports echo are fixed. Their average states have 8 and 16 eigenvalues:
-# no GOLDEN fixture in test_cli.py sums an entropy over 8 or more entries.
+# reports echo are fixed. Their average states have 8 and 16 eigenvalues,
+# more than any entropy a GOLDEN fixture in test_cli.py sums.
 EMPTY = sha256("")
 DIGESTS = {
     ("many-inputs", "factorize"): (

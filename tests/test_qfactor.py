@@ -23,7 +23,7 @@ from chanfactor.channel import (
     rbsc,
     shannon_entropy,
 )
-from chanfactor.linalg import ROW_TOL, _entropy_bits
+from chanfactor.linalg import ROW_TOL, STATE_TOL, _entropy_bits
 from chanfactor.phase import PhasedQubitEnsemble
 from chanfactor.qfactor import (
     POVM,
@@ -360,18 +360,15 @@ class TestVonNeumannEntropy:
         entropies = {von_neumann_entropy(s) for s in (psi, DensityMatrix.from_pure(psi), psi.projector())}
         assert len(entropies) == 1
 
-    def test_entropies_keep_their_positive_entry_sums_bit_for_bit(self):
-        # References: the sums each entropy took on its own, checked on 8 or
-        # more entries with zeros, where numpy sums pairwise.
-        def old_shannon(p):
-            p = InputDistribution(p).probs
-            p = p[p > 0]
-            return float(-(p * np.log2(p)).sum()) + 0.0
-
-        def old_von_neumann(rho):
-            w = np.maximum(np.linalg.eigvalsh(rho.matrix), 0.0)
-            w = w[w > 0]
-            return float(-(w * np.log2(w)).sum()) + 0.0
+    def test_entropies_sum_the_whole_vector_or_spectrum_bit_for_bit(self):
+        # Both entropies take the sweeps' route: the whole probability vector,
+        # or _density_spectrum's symmetrized spectrum, summed by _entropy_bits.
+        # Checked on 8 or more entries with zeros, where numpy sums pairwise
+        # and the sum over the positive entries alone may differ in its last
+        # bits, and on matrices that are Hermitian only within STATE_TOL,
+        # whose raw eigvalsh differs from the symmetrized one.
+        def same_route(rho):
+            assert von_neumann_entropy(rho) == float(_entropy_bits(_density_spectrum(rho.matrix)))
 
         rng = np.random.default_rng(101)
         for d in (8, 9, 12, 16):
@@ -380,12 +377,21 @@ class TestVonNeumannEntropy:
                 p[0] += 0.1
                 p[-2:] = 0.0
                 p /= p.sum()
-                assert shannon_entropy(p) == old_shannon(p)
-                diag = DensityMatrix(np.diag(p))
-                assert von_neumann_entropy(diag) == old_von_neumann(diag)
+                assert shannon_entropy(p) == float(_entropy_bits(p))
+                assert shannon_entropy(InputDistribution(p)) == float(_entropy_bits(p))
+                same_route(DensityMatrix(np.diag(p)))
                 r = d // 2
-                rank_deficient = average_state(Ensemble.from_pure(np.full(r, 1 / r), [random_pure(rng, d) for _ in range(r)]))
-                assert von_neumann_entropy(rank_deficient) == old_von_neumann(rank_deficient)
+                rank_deficient = Ensemble.from_pure(np.full(r, 1 / r), [random_pure(rng, d) for _ in range(r)])
+                same_route(average_state(rank_deficient))
+                # Off-diagonal round-off above the diagonal of the support block only: the zeros stay.
+                support = np.flatnonzero(p)
+                skew = np.zeros((d, d), dtype=complex)
+                skew[np.ix_(support, support)] = np.triu(rng.uniform(-0.4, 0.4, (support.size,) * 2) * (1 + 1j), 1)
+                near = DensityMatrix(np.diag(p) + STATE_TOL * skew)
+                assert not np.array_equal(near.matrix, near.matrix.conj().T)
+                same_route(near)
+                full_rank = random_density(rng, d).matrix
+                same_route(DensityMatrix(full_rank + STATE_TOL * np.triu(rng.uniform(-0.4, 0.4, (d, d)), 1)))
 
 
 class TestAverageState:

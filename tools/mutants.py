@@ -75,6 +75,12 @@ MUTANTS = [
     # The one negative-zero rule of the entropies, and the one clamp of F_Q at 1.
     ("linalg.py", ".sum(axis=-1) + 0.0", ".sum(axis=-1)"),
     ("qfactor.py", "return i, j, np.minimum(f, 1.0)", "return i, j, f"),
+    # The per-state entropies back on a route of their own: the positive entries
+    # alone, or a raw eigvalsh; and a --dist of the wrong length let through.
+    ("channel.py", "return float(_entropy_bits(_probs(d)))", "return float(_entropy_bits((p := _probs(d))[p > 0]))"),
+    ("qfactor.py", "_entropy_bits(_density_spectrum(_as_density(rho).matrix))",
+     "_entropy_bits(np.linalg.eigvalsh(_as_density(rho).matrix))"),
+    ("channel.py", "if d.probs.size != c.n_inputs:", "if False:"),
 ]
 
 COPIED = ("src", "tests", "bench", "pyproject.toml")
