@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._documents import is_label_array, number_array, required
-from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _check_tol, _checked_record, _entropy_bits, _freeze
+from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _check_tol, _check_vector, _checked_record, _entropy_bits, _freeze
 
 __all__ = [
     "AlphabetMismatch",
@@ -45,9 +45,7 @@ class AlphabetMismatch(ValueError):
 
 def _weight_vector(values, name: str) -> np.ndarray:
     """Frozen probability vector; ValueError unless 1-D, nonempty, finite, >= -NEG_TOL, sum 1."""
-    w = np.asarray(values, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError(f"{name} must form a nonempty vector")
+    w = _check_vector(np.asarray(values, dtype=float), name)
     # Written to pass only when true: a NaN or infinite entry fails one of them.
     if not w.min() >= -NEG_TOL:
         raise ValueError(f"{name} must be finite and nonnegative, got min {float(w.min())}")
@@ -130,28 +128,26 @@ def rbsc(p: float) -> Channel:
 
 
 class Partition(_checked_record("Partition", "classes size")):
-    """Disjoint cover of ``range(size)`` by nonempty index classes.
+    """Disjoint cover of ``range(size)`` by nonempty classes of integers.
 
-    Classes are stored sorted internally and ordered by their lowest member,
-    so the lowest-index input of each class acts as its canonical
-    representative.
+    A member or ``size`` that is not an ``int`` or numpy integer (a bool is not) raises ValueError
+    before any sort; numpy integers are stored as ``int``. Classes are stored sorted and ordered by
+    their lowest member, so the lowest-index input of each class is its canonical representative.
     """
 
     __slots__ = ()
 
     def __new__(cls, classes, size: int):
-        canon = tuple(tuple(sorted(c)) for c in classes)
-        canon = tuple(sorted(canon, key=lambda c: c[0] if c else -1))
-        seen: set = set()
-        for c in canon:
-            if not c:
-                raise ValueError("partition classes must be nonempty")
-            seen.update(c)
-        if sum(len(c) for c in canon) != len(seen) or seen != set(range(size)):
-            raise ValueError(
-                f"classes must disjointly cover range({size})"
-            )
-        return super().__new__(cls, canon, size)
+        classes = tuple(map(tuple, classes))
+        for x in (size, *itertools.chain.from_iterable(classes)):
+            if type(x) is not int and not isinstance(x, np.integer):
+                raise ValueError(f"partition members and size must be integers, got {x!r}")
+        canon = tuple(sorted(tuple(sorted(map(int, c))) for c in classes))
+        if not all(canon):
+            raise ValueError("partition classes must be nonempty")
+        if sorted(itertools.chain.from_iterable(canon)) != list(range(size)):
+            raise ValueError(f"classes must disjointly cover range({size})")
+        return super().__new__(cls, canon, int(size))
 
     @property
     def n_classes(self) -> int:
@@ -189,7 +185,7 @@ class InputDistribution(_checked_record("InputDistribution", "probs")):
 
     @classmethod
     def uniform(cls, n: int) -> "InputDistribution":
-        return cls(np.full(n, 1.0 / n))
+        return cls(np.full(n, 1.0) / n)
 
 
 class Factorization(NamedTuple):

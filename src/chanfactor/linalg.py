@@ -72,6 +72,13 @@ def _entropy_bits(w: np.ndarray) -> np.ndarray:
     return -np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0).sum(axis=-1) + 0.0
 
 
+def _check_vector(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` itself; ValueError naming it unless it is a nonempty 1-D array."""
+    if a.ndim != 1 or a.size < 1:
+        raise ValueError(f"{name} must form a nonempty vector")
+    return a
+
+
 def _check_square_stack(a: np.ndarray) -> np.ndarray:
     """``a`` itself; ValueError unless it is a nonempty square matrix or a stack of them."""
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:

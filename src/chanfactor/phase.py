@@ -26,7 +26,7 @@ import numpy as np
 
 from ._documents import number_array, required
 from .channel import _weight_vector
-from .linalg import STATE_TOL, _checked_record, _entropy_bits, _freeze
+from .linalg import STATE_TOL, _check_vector, _checked_record, _entropy_bits, _freeze
 from .qfactor import Ensemble, PureState
 
 __all__ = [
@@ -68,10 +68,8 @@ class PhasedQubitEnsemble(_checked_record("PhasedQubitEnsemble", "weights a b ph
 
     def __new__(cls, weights, a, b, phases):
         w = _weight_vector(weights, "weights")
-        a, b, phi = (np.asarray(v, dtype=float) for v in (a, b, phases))
-        for name, v in zip(("a", "b", "phases"), (a, b, phi)):
-            if v.ndim != 1:
-                raise ValueError(f"{name} must form a vector, got shape {v.shape}")
+        a, b, phi = (_check_vector(np.asarray(v, dtype=float), name)
+                     for name, v in (("a", a), ("b", b), ("phases", phases)))
         if not (a.size == b.size == phi.size == w.size):
             raise ValueError("weights, a, b, phases must have equal length")
         if not np.isfinite(phi).all():

@@ -32,7 +32,7 @@ from .channel import (
 )
 from .linalg import (
     EIG_CLAMP, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_square_stack, _check_tol,
-    _checked_record, _entropy_bits, _freeze,
+    _check_vector, _checked_record, _entropy_bits, _freeze,
 )
 
 __all__ = [
@@ -152,9 +152,7 @@ class PureState(_checked_record("PureState", "amplitudes")):
     __slots__ = ()
 
     def __new__(cls, amplitudes):
-        v = np.asarray(amplitudes, dtype=complex)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("amplitudes must form a nonempty vector")
+        v = _check_vector(np.asarray(amplitudes, dtype=complex), "amplitudes")
         _check_unit_norm(v)
         return super().__new__(cls, _freeze(v))
 
@@ -231,15 +229,15 @@ class POVM(_checked_record("POVM", "elements labels")):
         labels = tuple(labels)
         if len(elems) != len(labels) or not elems:
             raise ValueError("need one label per element and at least one element")
-        # Shapes first: numpy refuses a ragged stack, or a ragged element, with a plain ValueError.
+        # Ragged, non-square and 0x0 stacks are DimensionMismatch; a non-numeric element fails at the cast.
         message = "POVM elements must be square and same-dim"
         try:
-            shapes = {np.shape(e) for e in elems}
+            stack = _check_square_stack(np.asarray(elems))
         except ValueError as err:
             raise DimensionMismatch(message) from err
-        if len(shapes) != 1 or len(shape := shapes.pop()) != 2 or shape[0] != shape[1]:
+        if stack.ndim != 3:
             raise DimensionMismatch(message)
-        return super().__new__(cls, _freeze(np.asarray(elems, dtype=complex)), labels)
+        return super().__new__(cls, _freeze(stack.astype(complex, copy=False)), labels)
 
     @classmethod
     def computational(cls, labels) -> "POVM":

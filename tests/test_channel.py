@@ -514,6 +514,11 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition(((0, 1), (1, 2)), 3)
 
+    def test_numpy_integers_are_stored_as_int(self):
+        p = Partition(((np.int64(1),), (np.int32(0), np.uint8(2))), np.int64(3))
+        assert p == (((0, 2), (1,)), 3)
+        assert all(type(x) is int for x in (p.size, *p.classes[0], *p.classes[1]))
+
     def test_refines(self):
         fine = Partition(((0,), (1,), (2, 3)), 4)
         coarse = Partition(((0, 1), (2, 3)), 4)
@@ -551,6 +556,11 @@ class TestGuards:
             (lambda: Channel((), ("0",), np.zeros((0, 1))), InvalidChannel, "alphabets must be nonempty"),
             (lambda: rbsc(1.5), InvalidChannel, "p must lie in [0, 1], got 1.5"),
             (lambda: Partition(((), (0,)), 1), ValueError, "partition classes must be nonempty"),
+            (lambda: Partition(((0.0, 1),), 2), ValueError, "partition members and size must be integers, got 0.0"),
+            (lambda: Partition(((0, True),), 2), ValueError, "partition members and size must be integers, got True"),
+            (lambda: Partition((("a", 0),), 2), ValueError, "partition members and size must be integers, got 'a'"),
+            (lambda: Partition(((0,),), 1.0), ValueError, "partition members and size must be integers, got 1.0"),
+            (lambda: InputDistribution.uniform(0), ValueError, "probabilities must form a nonempty vector"),
             (
                 lambda: factorization_from_partition(rbsc(0.3), Partition(((0, 1),), 2)),
                 AlphabetMismatch,
@@ -579,7 +589,8 @@ class TestGuards:
             ),
         ],
         ids=[
-            "Channel-ndim", "Channel-empty-alphabet", "rbsc-p", "Partition-empty-class",
+            "Channel-ndim", "Channel-empty-alphabet", "rbsc-p", "Partition-empty-class", "Partition-float-member",
+            "Partition-bool-member", "Partition-str-member", "Partition-float-size", "InputDistribution.uniform-0",
             "factorization_from_partition-size", "verify_factorization-size", "verify_factorization-outputs",
             "verify_factorization-rows",
         ],

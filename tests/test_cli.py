@@ -487,7 +487,7 @@ class TestPhaseScan:
         spec = self.write_spec(tmp_path, weights, a, b)
         code, out, err = run(capsys, "phase-scan", spec)
         assert code == 2 and out == ""
-        assert "validation error: a must form a vector" in err
+        assert "validation error: a must form a nonempty vector" in err
 
     def test_malformed_spec_exit_code(self, capsys, tmp_path):
         path = tmp_path / "ens.json"

@@ -497,12 +497,18 @@ class TestPovmStack:
             (np.ones((2, 3)), np.ones((2, 3))),
             (np.ones(2), np.ones(2)),
             ([[1.0, 0.0], [0.0]],),
+            (np.eye(2)[None],),
         ],
-        ids=["mixed-dims", "ragged-rows", "non-square", "vectors", "ragged-element"],
+        ids=["mixed-dims", "ragged-rows", "non-square", "vectors", "ragged-element", "stacked-element"],
     )
     def test_ragged_or_non_square_elements_raise_dimension_mismatch(self, elements):
         with pytest.raises(DimensionMismatch):
             POVM(elements, tuple(range(len(elements))))
+
+    def test_non_numeric_element_keeps_numpys_error(self):
+        with pytest.raises(ValueError) as err:
+            POVM([np.array([["a", "b"], ["c", "d"]])], "x")
+        assert type(err.value) is ValueError
 
     def test_elements_are_one_read_only_stack(self):
         povm = POVM([np.eye(2) / 2, np.eye(2) / 2], ("a", "b"))
@@ -1302,6 +1308,7 @@ class TestGuards:
             ),
             (lambda: DensityMatrix(np.eye(2)), ValueError, "trace 2.0 deviates from 1 beyond 1e-09"),
             (lambda: POVM([np.eye(2)], "ab"), ValueError, "need one label per element and at least one element"),
+            (lambda: POVM([np.zeros((0, 0))], "a"), DimensionMismatch, "POVM elements must be square and same-dim"),
             (
                 lambda: QFactorization("012", RBSC_Q.partition, RBSC_Q.signals, RBSC_Q.povm),
                 AlphabetMismatch,
@@ -1346,7 +1353,7 @@ class TestGuards:
         ids=[
             "PureState-empty", "PureState-norm", "PureState.overlap-dim", "POVM.outcome_probabilities-dim",
             "quantum_fidelity-dim", "Ensemble-dim", "Ensemble-weights", "DensityMatrix-ndim",
-            "DensityMatrix-square", "DensityMatrix-trace", "POVM-labels", "QFactorization-labels",
+            "DensityMatrix-square", "DensityMatrix-trace", "POVM-labels", "POVM-empty", "QFactorization-labels",
             "QFactorization-signals", "QFactorization-signal-dim", "QFactorization-povm-dim",
             "Ensemble.pure_states", "verify_qfactorization-povm-labels", "_matrix_from_json-shape",
             "qfactorization_from_json-states",

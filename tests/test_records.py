@@ -70,7 +70,10 @@ REFUSED = [
     (Q, {"signals": Q.signals[:1]}, ValueError, "one signal state per class"),
     (Ensemble([0.5, 0.5], Q.signals), {"weights": [1.0]}, ValueError, "one weight per state"),
     (ENSEMBLE, {"phases": [0.0, np.nan]}, ValueError, "phases must be finite"),
-    (ENSEMBLE, {"a": [[0.6, 0.8]]}, ValueError, "a must form a vector"),
+    (ENSEMBLE, {"a": [[0.6, 0.8]]}, ValueError, "a must form a nonempty vector"),
+    (Q.partition, {"classes": ((0.0, 2), (True, 3))}, ValueError, "must be integers, got 0.0"),
+    (Q.partition, {"size": 4.0}, ValueError, "must be integers, got 4.0"),
+    (Q.povm, {"elements": (np.zeros((0, 0)),) * 2}, DimensionMismatch, "same-dim"),
 ]
 
 

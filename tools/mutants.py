@@ -81,6 +81,12 @@ MUTANTS = [
     ("qfactor.py", "_entropy_bits(_density_spectrum(_as_density(rho).matrix))",
      "_entropy_bits(np.linalg.eigvalsh(_as_density(rho).matrix))"),
     ("channel.py", "if d.probs.size != c.n_inputs:", "if False:"),
+    # One intake rule per argument kind: an empty vector let through, a partition member or
+    # size that is not an integer (or is a bool) let through, and a POVM of stacked elements.
+    ("linalg.py", "if a.ndim != 1 or a.size < 1:", "if a.ndim != 1:"),
+    ("channel.py", "if type(x) is not int and not isinstance(x, np.integer):", "if False:"),
+    ("channel.py", "if type(x) is not int and", "if not isinstance(x, int) and"),
+    ("qfactor.py", "if stack.ndim != 3:", "if False:"),
 ]
 
 COPIED = ("src", "tests", "bench", "pyproject.toml")
