@@ -127,6 +127,12 @@ def rbsc(p: float) -> Channel:
     return Channel(("0", "1", "2", "3"), ("0", "1"), rows)
 
 
+def _check_integer(x, what: str) -> None:
+    """ValueError ``{what} must be integers, got {x!r}`` unless ``x`` is an ``int`` or numpy integer; a bool is not."""
+    if type(x) is not int and not isinstance(x, np.integer):
+        raise ValueError(f"{what} must be integers, got {x!r}")
+
+
 class Partition(_checked_record("Partition", "classes size")):
     """Disjoint cover of ``range(size)`` by nonempty classes of integers.
 
@@ -140,8 +146,7 @@ class Partition(_checked_record("Partition", "classes size")):
     def __new__(cls, classes, size: int):
         classes = tuple(map(tuple, classes))
         for x in (size, *itertools.chain.from_iterable(classes)):
-            if type(x) is not int and not isinstance(x, np.integer):
-                raise ValueError(f"partition members and size must be integers, got {x!r}")
+            _check_integer(x, "partition members and size")
         canon = tuple(sorted(tuple(sorted(map(int, c))) for c in classes))
         if not all(canon):
             raise ValueError("partition classes must be nonempty")
@@ -185,6 +190,10 @@ class InputDistribution(_checked_record("InputDistribution", "probs")):
 
     @classmethod
     def uniform(cls, n: int) -> "InputDistribution":
+        """Uniform distribution over ``n`` inputs. ``n`` follows ``Partition``'s integer rule and must be positive."""
+        _check_integer(n, "uniform distribution sizes")
+        if n < 1:
+            raise ValueError(f"uniform distribution sizes must be positive, got {n!r}")
         return cls(np.full(n, 1.0) / n)
 
 

@@ -6,20 +6,29 @@ heatmap, phase scans, the qutrit case-study curve, and the canned merging
 demonstration. All outputs are deterministic: a fixed configuration yields
 byte-identical bytes on every run.
 
-Each ``cmd_*`` returns (report, stderr summary, exit code); ``main`` alone
-writes them and maps every failure to an exit code: 0 success, 2 validation
+The parser, the writer and the exit codes live in ``chanfactor._entry``,
+which loads no numpy. Run as ``python -m chanfactor.cli``, this module
+first calls its ``parse_or_exit``, so that ``--help`` and a usage error end
+the process before numpy loads; a command line that parses falls through
+to the imports below, so the module is compiled once and the command line
+parsed once.
+
+Each ``cmd_*`` returns (report, stderr summary, exit code); ``_execute``
+alone writes them and maps every failure to an exit code: 0 success, 2 validation
 failure (a schema violation or an input too large to allocate included), 3
 input that cannot be read or decoded as JSON, or a failed write. A
 failed ``--out`` write may leave a partial file. Every byte on stdout or
 stderr, argparse's help, usage and error text included, goes through
-``_write``. ``run``, the entry point, ends the process with ``os._exit``.
+``_entry._write``.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import errno
+if __name__ == "__main__":
+    from ._entry import parse_or_exit
+
+    _ARGS = parse_or_exit()
+
 import json
 import os
 import sys
@@ -30,6 +39,7 @@ import numpy as np
 
 from . import qfactor
 from ._documents import ParseError, read_json
+from ._entry import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, _output_error, _write, build_parser
 from .channel import (
     Channel,
     InputDistribution,
@@ -38,7 +48,7 @@ from .channel import (
     pushforward,
     shannon_entropy,
 )
-from .linalg import ENTROPY_TOL, ROW_TOL, _check_tol
+from .linalg import ENTROPY_TOL, ROW_TOL
 from .qfactor import (
     DensityMatrix,
     Ensemble,
@@ -54,20 +64,7 @@ from .qfactor import (
     von_neumann_entropy,
 )
 
-__all__ = ["build_parser", "main", "run"]
-
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_PARSE = 3
-
-
-def _tol(text: str) -> float:
-    """argparse type of --tol: a bad value is a usage error, exit 2, before any work."""
-    try:
-        return _check_tol(float(text))
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-
+__all__ = ["main"]
 
 _CONTAINERS = (dict, list, tuple)
 _DEFAULT = json.JSONEncoder().default  # json.dumps's TypeError for a value JSON cannot hold
@@ -145,19 +142,21 @@ def _json_text(doc) -> str:
 
 
 def _channel_inputs(args) -> tuple:
-    """(channel, ``--dist`` distribution or None, report config block) of
-    ``factorize`` and ``qfactorize``, read and matched before any work. A
-    given ``--dist``, an empty path included, is read as a file."""
+    """(channel, ``--dist`` distribution or None, tolerance, report config
+    block) of ``factorize`` and ``qfactorize``, read and matched before any
+    work. A given ``--dist``, an empty path included, is read as a file;
+    without ``--tol`` the tolerance is ``ROW_TOL``."""
     c = Channel.from_json(read_json(args.channel))
     d = None if (path := args.dist) is None else InputDistribution.from_json(read_json(path))
     if d is not None:
         _check_distribution_of(c, d)
-    return c, d, {"command": args.command, "tol": args.tol, "channel": args.channel}
+    tol = ROW_TOL if args.tol is None else args.tol
+    return c, d, tol, {"command": args.command, "tol": tol, "channel": args.channel}
 
 
 def cmd_factorize(args) -> tuple:
-    c, d, config = _channel_inputs(args)
-    f = causal_factorization(c, args.tol)
+    c, d, tol, config = _channel_inputs(args)
+    f = causal_factorization(c, tol)
     doc = {
         "config": config,
         "partition": [[c.inputs[x] for x in cl] for cl in f.partition.classes],
@@ -171,10 +170,10 @@ def cmd_factorize(args) -> tuple:
 
 
 def cmd_qfactorize(args) -> tuple:
-    c, d, config = _channel_inputs(args)
-    q = g0_construct(c, args.tol)
-    check = verify_qfactorization(c, q, args.tol)
-    bound = fidelity_bound_check(c, q, args.tol)
+    c, d, tol, config = _channel_inputs(args)
+    q = g0_construct(c, tol)
+    check = verify_qfactorization(c, q, tol)
+    bound = fidelity_bound_check(c, q, tol)
     weights = pushforward(InputDistribution.uniform(c.n_inputs) if d is None else d, q.partition)
     rho = average_state(Ensemble(weights.probs, q.signals))
     s_signal = von_neumann_entropy(rho)
@@ -303,79 +302,34 @@ def cmd_merge_demo(args) -> tuple:
     return _json_text(doc), "", EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's help, usage and error text go through ``_write``, so that a
-    failed write raises instead of being dropped. Subparsers inherit it."""
-
-    def _print_message(self, message, file=None):
-        _write(file, message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="chanfactor",
-        description="Factorize classical channels through minimal classical "
-        "and quantum intermediate variables.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.set_defaults(func=func)
-        return p
-
-    for name, func, help_text in (
-        ("factorize", cmd_factorize, "causal partition and reduced channel"),
-        ("qfactorize", cmd_qfactorize, "square-root-amplitude quantum factorization"),
-    ):
-        p = command(name, func, help_text)
-        p.add_argument("channel", help="channel JSON file")
-        p.add_argument("--dist", help="input distribution JSON file")
-        p.add_argument("--tol", type=_tol, default=ROW_TOL, help="row-equality tolerance")
-
-    p = command("heatmap", cmd_heatmap, "quantum advantage grid for the binary-symmetric family")
-    p.add_argument("--points", type=int, default=101, help="grid points per axis")
-    p.add_argument("--alpha-points", type=int, help="alpha-axis points (default: --points)")
-
-    p = command("phase-scan", cmd_phase_scan, "verify equal phases minimize entropy")
-    p.add_argument("ensemble", help="JSON file with weights, a, b arrays")
-    p.add_argument("--points", type=int, help="phase grid points (default 360; 72 for 3 states; "
-                   "refused for more than 3 states)")
-
-    p = command("casestudy", cmd_casestudy, "entropy/purity curve of the qutrit family")
-    p.add_argument("--points", type=int, default=151, help="curve samples")
-
-    command("merge-demo", cmd_merge_demo, "worked ensemble-merging examples")
-
-    return parser
-
-
-def _write(stream, text: str) -> None:
-    """Write text to a standard stream and flush it. The interpreter sets a
-    stream to None when its descriptor was closed before start-up; writing
-    to it then fails as a write to a closed descriptor does."""
-    if stream is None:
-        if text:
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        return
-    stream.write(text)
-    stream.flush()
-
-
-def _output_error(err: OSError) -> int:
-    """Report a failed write in one ``output error:`` line on stderr, if
-    stderr still takes it, and return the exit code of an I/O error."""
-    with contextlib.suppress(OSError):
-        _write(sys.stderr, f"output error: {err}\n")
-    return EXIT_PARSE
+_COMMANDS = {
+    "factorize": cmd_factorize,
+    "qfactorize": cmd_qfactorize,
+    "heatmap": cmd_heatmap,
+    "phase-scan": cmd_phase_scan,
+    "casestudy": cmd_casestudy,
+    "merge-demo": cmd_merge_demo,
+}
 
 
 def main(argv=None) -> int:
+    """Parse ``argv`` (default: ``sys.argv[1:]``) and run the command; its exit code.
+
+    The entry for callers in the same process: argparse's own exits raise
+    SystemExit, as they do from ``parse_args``.
+    """
     try:
         args = build_parser().parse_args(argv)
+    except OSError as err:
+        return _output_error(err)
+    return _execute(args)
+
+
+def _execute(args) -> int:
+    """Run a parsed command line, write its report and note, and return its exit code."""
+    try:
         try:
-            report, note, code = args.func(args)
+            report, note, code = _COMMANDS[args.command](args)
         except ParseError as err:
             report, note, code = None, f"parse error: {err}\n", EXIT_PARSE
         except (ValueError, IndexError, MemoryError) as err:
@@ -391,20 +345,5 @@ def main(argv=None) -> int:
         return _output_error(err)
 
 
-def run() -> None:
-    """The ``chanfactor`` entry point: ``main``, then ``os._exit`` with the
-    exit code, so that no process pays for interpreter teardown. Each write
-    was flushed as it was made, so nothing is left to flush.
-
-    argparse's own exits end here too: 0 after ``--help``, 2 after a usage
-    error.
-    """
-    try:
-        code = main()
-    except SystemExit as done:
-        code = 0 if done.code is None else done.code
-    os._exit(code)
-
-
 if __name__ == "__main__":
-    run()
+    os._exit(_execute(_ARGS))

@@ -560,7 +560,10 @@ class TestGuards:
             (lambda: Partition(((0, True),), 2), ValueError, "partition members and size must be integers, got True"),
             (lambda: Partition((("a", 0),), 2), ValueError, "partition members and size must be integers, got 'a'"),
             (lambda: Partition(((0,),), 1.0), ValueError, "partition members and size must be integers, got 1.0"),
-            (lambda: InputDistribution.uniform(0), ValueError, "probabilities must form a nonempty vector"),
+            (lambda: InputDistribution.uniform(0), ValueError, "uniform distribution sizes must be positive, got 0"),
+            (lambda: InputDistribution.uniform(-1), ValueError, "uniform distribution sizes must be positive, got -1"),
+            (lambda: InputDistribution.uniform(2.0), ValueError, "uniform distribution sizes must be integers, got 2.0"),
+            (lambda: InputDistribution.uniform(True), ValueError, "uniform distribution sizes must be integers, got True"),
             (
                 lambda: factorization_from_partition(rbsc(0.3), Partition(((0, 1),), 2)),
                 AlphabetMismatch,
@@ -591,6 +594,7 @@ class TestGuards:
         ids=[
             "Channel-ndim", "Channel-empty-alphabet", "rbsc-p", "Partition-empty-class", "Partition-float-member",
             "Partition-bool-member", "Partition-str-member", "Partition-float-size", "InputDistribution.uniform-0",
+            "InputDistribution.uniform-negative", "InputDistribution.uniform-float", "InputDistribution.uniform-bool",
             "factorization_from_partition-size", "verify_factorization-size", "verify_factorization-outputs",
             "verify_factorization-rows",
         ],

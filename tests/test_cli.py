@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 import chanfactor
 from chanfactor import cli, phase
 from chanfactor.channel import Channel, rbsc
-from chanfactor.cli import build_parser, main
+from chanfactor._entry import build_parser
+from chanfactor.cli import main
 from chanfactor.phase import MAX_SIGN_STATES
 from chanfactor.qfactor import (
     advantage_grid,
@@ -637,6 +638,25 @@ class TestMergeDemo:
         assert abs(mixed["merge"]["pure->mixed2"] - 1.0) <= 1e-9
 
 
+# The two entry routes: ``python -m chanfactor.cli`` and the ``chanfactor`` script's function.
+ENTRIES = {"module": ["-m", "chanfactor.cli"], "script": ["-c", "from chanfactor._entry import run; run()"]}
+
+
+def importtime_child(entry, argv) -> tuple:
+    """(completed process, names of the modules it imported) of ``argv`` run
+    through an entry route under ``python -X importtime``; the importtime
+    lines are taken out of its stderr."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *ENTRIES[entry], *argv],
+        capture_output=True, env=child_env(), timeout=120,
+    )
+    prefix = b"import time:"
+    lines = done.stderr.splitlines(keepends=True)
+    names = {line.rsplit(b"|", 1)[1].strip().decode() for line in lines if line.startswith(prefix)}
+    done.stderr = b"".join(line for line in lines if not line.startswith(prefix))
+    return done, names
+
+
 class TestImports:
     def test_channel_commands_skip_phase_and_casestudy(self, rbsc_file):
         # A fresh interpreter, so modules imported by other tests do not count.
@@ -697,6 +717,27 @@ class TestImports:
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     bound.update(t.id for t in targets if isinstance(t, ast.Name))
             assert [n for n in module.__all__ if n not in bound] == [], module.__name__
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["heatmap", "--help"], 0), (["heatmap", "--points", "x"], 2),
+    ], ids=["help", "subcommand-help", "usage-error"])
+    def test_front_door_loads_no_numpy(self, entry, argv, code):
+        done, names = importtime_child(entry, argv)
+        assert (done.returncode, "chanfactor._entry" in names) == (code, True)
+        assert [n for n in names if n.split(".")[0] == "numpy"] == []
+        plain = cli_child(argv)
+        assert (done.stdout, done.stderr) == (plain.stdout, plain.stderr)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_command_compiles_the_cli_module_once(self, entry):
+        # Run as __main__, cli.py falls through to its own imports; importing
+        # chanfactor.cli as well would compile the module a second time. The
+        # script imports it once.
+        done, names = importtime_child(entry, ["merge-demo"])
+        assert (done.returncode, sha256(done.stdout)) == (0, GOLDEN[("merge-demo",)][0])
+        assert "numpy" in names
+        assert ("chanfactor.cli" in names) == (entry == "script")
 
     def test_package_import_loads_nothing(self):
         code = "import sys, chanfactor; print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('chanfactor.')))"
@@ -861,7 +902,7 @@ class TestOutputFailures:
 
 
 class TestRunEntryPoint:
-    """``cli.run`` ends argparse's exits as well as ``main``'s."""
+    """The entry point ends argparse's exits as well as ``main``'s."""
 
     def test_help_exits_0_on_stdout(self):
         done = cli_child(["--help"])
@@ -881,7 +922,7 @@ class TestRunEntryPoint:
         pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
         with pyproject.open("rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
-        assert scripts == {"chanfactor": "chanfactor.cli:run"}
+        assert scripts == {"chanfactor": "chanfactor._entry:run"}
 
 
 @needs_dev_full
