@@ -14,7 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._documents import is_label_array, number_array, required
-from .linalg import NEG_TOL, ROW_TOL, SUM_TOL, _check_tol, _check_vector, _checked_record, _entropy_bits, _freeze
+from .linalg import (
+    ROW_TOL, _check_probabilities, _check_tol, _checked_record, _entropy_bits, _freeze, _weight_vector,
+)
 
 __all__ = [
     "AlphabetMismatch",
@@ -43,24 +45,17 @@ class AlphabetMismatch(ValueError):
     """Two objects indexed by different alphabets were combined."""
 
 
-def _weight_vector(values, name: str) -> np.ndarray:
-    """Frozen probability vector; ValueError unless 1-D, nonempty, finite, >= -NEG_TOL, sum 1."""
-    w = _check_vector(np.asarray(values, dtype=float), name)
-    # Written to pass only when true: a NaN or infinite entry fails one of them.
-    if not w.min() >= -NEG_TOL:
-        raise ValueError(f"{name} must be finite and nonnegative, got min {float(w.min())}")
-    if not abs(w.sum() - 1.0) <= SUM_TOL:
-        raise ValueError(f"{name} must be finite and sum to 1, got {float(w.sum())}")
-    return _freeze(w)
-
-
 class Channel(_checked_record("Channel", "inputs outputs matrix")):
     """Conditional distribution P(Y|X) over finite alphabets.
 
     ``matrix[i, j]`` is the probability of output ``outputs[j]`` given input
     ``inputs[i]``; the labels are tuples and the matrix a read-only float
-    array. Entries must be finite and lie in [0, 1] up to round-off, and
-    rows must sum to 1 within SUM_TOL.
+    array. Each row is a probability vector by the one rule that input
+    distributions and ensemble weights follow too, ``linalg._check_probabilities``:
+    min >= -NEG_TOL, |sum - 1| <= SUM_TOL and max <= 1 + NEG_TOL, so every
+    entry is finite. A refusal is an ``InvalidChannel`` naming the first row
+    that fails, as ``rows[i]``. Input distributions and ensemble weights
+    are held to all three bounds, the upper one included.
     """
 
     __slots__ = ()
@@ -82,13 +77,10 @@ class Channel(_checked_record("Channel", "inputs outputs matrix")):
             for n, label in enumerate(labels):
                 if (k := first.setdefault(label, n)) != n:
                     raise InvalidChannel(f"{side}s {k} and {n} share a label: {labels[k]!r} == {label!r} in Python")
-        if not np.isfinite(m).all():
-            raise InvalidChannel("entries must be finite")
-        if m.min() < -NEG_TOL or m.max() > 1 + NEG_TOL:
-            raise InvalidChannel("entries must lie in [0, 1]")
-        rowsum_err = np.abs(m.sum(axis=1) - 1.0).max()
-        if rowsum_err > SUM_TOL:
-            raise InvalidChannel(f"row sums deviate from 1 by {rowsum_err:.3e}")
+        try:
+            _check_probabilities(m, "rows")
+        except ValueError as err:
+            raise InvalidChannel(err) from None
         return super().__new__(cls, inputs, outputs, _freeze(m))
 
     @property

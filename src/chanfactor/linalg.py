@@ -79,6 +79,42 @@ def _check_vector(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+# The bounds of a probability vector, in the order they are checked: (its statistic, per vector
+# for axis -1 or over a whole stack for axis None; the bound; the words of a refusal). Each bound
+# is written to pass only when true, so a NaN entry fails the first and an infinite one the first
+# or the second. The minimum and maximum of a whole stack decide for all of its vectors at once,
+# at half the cost of per-vector ones on a tall stack; the sum is always per vector.
+_PROBABILITY_BOUNDS = (
+    (lambda a, axis: a.min(axis=axis), lambda low: low >= -NEG_TOL, "must be finite and nonnegative, got min"),
+    (lambda a, axis: a.sum(axis=-1), lambda total: np.abs(total - 1.0) <= SUM_TOL, "must be finite and sum to 1, got"),
+    (lambda a, axis: a.max(axis=axis), lambda high: high <= 1 + NEG_TOL, "must lie in [0, 1], got max"),
+)
+
+
+def _check_probabilities(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` itself; ValueError unless each vector along its last axis is a
+    probability vector: min >= -NEG_TOL, |sum - 1| <= SUM_TOL and
+    max <= 1 + NEG_TOL.
+
+    Each bound is checked over the whole stack before the next one. The
+    message names the first vector, in row-major order, that fails the first
+    bound any vector fails: ``name`` for a lone vector, ``name[i, ...]`` for
+    a vector of a stack.
+    """
+    for statistic, holds, words in _PROBABILITY_BOUNDS:
+        if not np.all(holds(statistic(a, None))):
+            values = statistic(a, -1)
+            at = tuple(np.argwhere(~holds(values))[0].tolist())
+            label = f"{name}[{', '.join(map(str, at))}]" if at else name
+            raise ValueError(f"{label} {words} {float(values[at])}")
+    return a
+
+
+def _weight_vector(values, name: str) -> np.ndarray:
+    """Frozen probability vector; ValueError unless a nonempty 1-D vector that ``_check_probabilities`` accepts."""
+    return _freeze(_check_probabilities(_check_vector(np.asarray(values, dtype=float), name), name))
+
+
 def _check_square_stack(a: np.ndarray) -> np.ndarray:
     """``a`` itself; ValueError unless it is a nonempty square matrix or a stack of them."""
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:

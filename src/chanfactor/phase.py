@@ -25,8 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._documents import number_array, required
-from .channel import _weight_vector
-from .linalg import STATE_TOL, _check_vector, _checked_record, _entropy_bits, _freeze
+from .linalg import STATE_TOL, _check_vector, _checked_record, _entropy_bits, _freeze, _weight_vector
 from .qfactor import Ensemble, PureState
 
 __all__ = [

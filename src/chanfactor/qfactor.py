@@ -26,13 +26,13 @@ from .channel import (
     Channel,
     Partition,
     _bhattacharyya,
+    _check_integer,
     _class_row_violations,
-    _weight_vector,
     causal_partition,
 )
 from .linalg import (
-    EIG_CLAMP, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_square_stack, _check_tol,
-    _check_vector, _checked_record, _entropy_bits, _freeze,
+    EIG_CLAMP, ROW_TOL, STATE_TOL, SUM_TOL, UHLMANN_CUTOFF, _check_probabilities, _check_square_stack, _check_tol,
+    _check_vector, _checked_record, _entropy_bits, _freeze, _weight_vector,
 )
 
 __all__ = [
@@ -404,9 +404,7 @@ def advantage_grid(p_values: np.ndarray, alpha_values: np.ndarray) -> np.ndarray
     _check_unit_norm(amps)
     projectors = _projectors(np.stack([amps, amps[:, ::-1]]))
     _density_spectrum(projectors)
-    weights = np.stack([alpha, 1.0 - alpha], axis=-1)
-    for w in weights:
-        _weight_vector(w, "weights")
+    weights = _check_probabilities(np.stack([alpha, 1.0 - alpha], axis=-1), "weights")
     rho = _mixture(weights.T, projectors[:, :, None])
     return _entropy_bits(weights)[None, :] - _entropy_bits(_density_spectrum(rho))
 
@@ -485,9 +483,12 @@ def merge(e: Ensemble, j: int, k: int) -> tuple:
 
     The first result reassigns w_j to state k (state j disappears), the
     second reassigns w_k to state j. Which direction has the lower
-    average-state entropy depends on the states, so both are returned.
+    average-state entropy depends on the states, so both are returned. The
+    indices follow ``Partition``'s integer rule before the range check.
     """
     n = e.size
+    for x in (j, k):
+        _check_integer(x, "merge indices")
     if not (0 <= j < n and 0 <= k < n):
         raise IndexOutOfRange(f"indices ({j}, {k}) out of range for size {n}")
     if j == k:

@@ -127,21 +127,36 @@ class TestTraceTolerance:
                 DensityMatrix(m)
 
 
+def one_row_channel(row) -> Channel:
+    return Channel(["a"], ["0", "1"], [row])
+
+
 class TestChannelEntries:
-    """Entries lie in [-NEG_TOL, 1 + NEG_TOL] and rows sum to 1 within SUM_TOL."""
+    """Entries lie in [-NEG_TOL, 1 + NEG_TOL] and rows sum to 1 within SUM_TOL.
+
+    A channel row and an input distribution are held to the one rule of
+    ``_check_probabilities``, so the upper bound refuses a distribution's
+    entry as it refuses a row's.
+    """
 
     @pytest.mark.parametrize("k, ok", SIDES, ids=SIDE_IDS)
     def test_entry_below_zero(self, k, ok):
-        check_refusal(ok, r"\[0, 1\]", Channel, ["a"], ["0", "1"], [[-k * NEG_TOL, 1.0]])
+        check_refusal(ok, r"^rows\[0\] must be finite and nonnegative", one_row_channel, [-k * NEG_TOL, 1.0])
 
-    @pytest.mark.parametrize("k, ok", SIDES, ids=SIDE_IDS)
-    def test_entry_above_one(self, k, ok):
-        check_refusal(ok, r"\[0, 1\]", Channel, ["a"], ["0", "1"], [[1 + k * NEG_TOL, 0.0]])
+    @pytest.mark.parametrize(
+        "build, match, k, ok",
+        [(one_row_channel, r"^rows\[0\] must lie in \[0, 1\]", k, ok) for k, ok in SIDES]
+        + [(InputDistribution, r"^probabilities must lie in \[0, 1\]", k, ok) for k, ok in SIDES],
+        ids=SIDE_IDS + [f"distribution-{side}" for side in SIDE_IDS],
+    )
+    def test_entry_above_one(self, build, match, k, ok):
+        check_refusal(ok, match, build, [1 + k * NEG_TOL, 0.0])
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
     @pytest.mark.parametrize("k, ok", NEAR_SIDES, ids=NEAR_IDS)
     def test_row_sum_off_by_a_multiple_of_sum_tol(self, sign, k, ok):
-        check_refusal(ok, "row sums", Channel, ["a"], ["0", "1"], [[0.5 + sign * k * SUM_TOL, 0.5]])
+        row = [0.5 + sign * k * SUM_TOL, 0.5]
+        check_refusal(ok, r"^rows\[0\] must be finite and sum to 1", one_row_channel, row)
 
 
 class TestWeightSum:

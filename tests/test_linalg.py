@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chanfactor.linalg import purity
+from chanfactor.linalg import NEG_TOL, SUM_TOL, _check_probabilities, purity
 
 
 class TestPurity:
@@ -42,3 +42,60 @@ class TestPurity:
         with pytest.raises(ValueError, match="square"):
             purity(np.zeros(shape))
 
+
+def lone_refusal(v: np.ndarray) -> str | None:
+    """The message ``_check_probabilities`` gives for ``v`` alone, or None when it accepts it."""
+    try:
+        _check_probabilities(v, "v")
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class TestProbabilityStack:
+    """A stack is refused exactly when one of its vectors alone is refused, with
+    the message of the first vector that fails the first bound any vector fails."""
+
+    BOUND_WORDS = ("nonnegative", "sum to 1", "lie in [0, 1]")
+
+    @staticmethod
+    def damaged(rng, row: np.ndarray) -> np.ndarray:
+        """``row`` with one defect drawn at random, from within to twice a bound."""
+        row, j, k = row.copy(), int(rng.integers(row.size)), rng.uniform(0.0, 2.0)
+        kind = rng.integers(5)
+        if kind == 0:
+            row[j] = -k * NEG_TOL
+        elif kind == 1:
+            row *= 1 + k * SUM_TOL
+        elif kind == 2:
+            row[:] = 0.0
+            row[j] = 1 + k * NEG_TOL
+        else:
+            row[j] = (np.nan, np.inf)[kind - 3]
+        return row
+
+    def test_stack_refuses_as_its_first_failing_vector(self):
+        rng = np.random.default_rng(30)
+        refused = 0
+        for _ in range(400):
+            n_vectors, n = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            stack = rng.dirichlet(np.ones(n), size=n_vectors)
+            for i in np.flatnonzero(rng.random(n_vectors) < 0.2):
+                stack[i] = self.damaged(rng, stack[i])
+            alone = [lone_refusal(v) for v in stack]
+            failed = [(self.bound(m), i) for i, m in enumerate(alone) if m is not None]
+            refused += bool(failed)
+            first = min(failed)[1] if failed else None
+            for a, label in ((stack, f"v[{first}]"), (stack[None], f"v[0, {first}]")):
+                if not failed:
+                    assert _check_probabilities(a, "v") is a
+                    continue
+                with pytest.raises(ValueError) as err:
+                    _check_probabilities(a, "v")
+                assert str(err.value) == label + alone[first].removeprefix("v")
+        assert 100 <= refused <= 300, refused
+
+    @classmethod
+    def bound(cls, message: str) -> int:
+        """Index in ``BOUND_WORDS`` of the bound a lone vector's refusal names."""
+        return next(b for b, words in enumerate(cls.BOUND_WORDS) if words in message)

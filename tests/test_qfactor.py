@@ -675,6 +675,12 @@ class TestMerge:
         with pytest.raises(IndexOutOfRange):
             merge(ens, 1, 1)
 
+    def test_numpy_integer_indices_are_accepted(self):
+        ens = Ensemble.from_pure(np.array([0.5, 0.3, 0.2]), (KET0, KET1, PLUS))
+        for got, want in zip(merge(ens, np.int64(0), np.intp(2)), merge(ens, 0, 2)):
+            assert np.array_equal(got.weights, want.weights)
+            assert all(g is w for g, w in zip(got.states, want.states))
+
     def test_min_direction_never_increases_entropy(self):
         rng = np.random.default_rng(101)
         for _ in range(120):
@@ -1349,6 +1355,10 @@ class TestGuards:
                 ValueError,
                 "need exactly one state per partition class",
             ),
+            (lambda: merge(Ensemble([0.5, 0.5], [maximally_mixed(2)] * 2), True, 1), ValueError,
+             "merge indices must be integers, got True"),
+            (lambda: merge(Ensemble([0.5, 0.5], [maximally_mixed(2)] * 2), 0, 1.0), ValueError,
+             "merge indices must be integers, got 1.0"),
         ],
         ids=[
             "PureState-empty", "PureState-norm", "PureState.overlap-dim", "POVM.outcome_probabilities-dim",
@@ -1356,7 +1366,7 @@ class TestGuards:
             "DensityMatrix-square", "DensityMatrix-trace", "POVM-labels", "POVM-empty", "QFactorization-labels",
             "QFactorization-signals", "QFactorization-signal-dim", "QFactorization-povm-dim",
             "Ensemble.pure_states", "verify_qfactorization-povm-labels", "_matrix_from_json-shape",
-            "qfactorization_from_json-states",
+            "qfactorization_from_json-states", "merge-bool-index", "merge-float-index",
         ],
     )
     def test_refuses(self, call, error, message):

@@ -61,7 +61,7 @@ RECORDS = [
 
 # Each checked record with one field replaced by a value its constructor refuses.
 REFUSED = [
-    (C, {"matrix": [[0.5, 0.6], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]}, InvalidChannel, "row sums"),
+    (C, {"matrix": [[0.5, 0.6], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]}, InvalidChannel, r"rows\[0\] .* sum to 1"),
     (Q.partition, {"size": 5}, ValueError, "disjointly cover"),
     (InputDistribution.uniform(4), {"probs": [0.5, 0.6]}, ValueError, "sum to 1"),
     (Q.signals[0].pure, {"amplitudes": [1.0, 1.0]}, ValueError, "state norm"),

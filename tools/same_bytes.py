@@ -3,8 +3,10 @@
 Builds the inputs of ``bench/workloads.build(name, 1, ...)`` for many-inputs,
 sweeps and many-classes once, in one temporary directory: the reports echo
 their input paths, so both sides must read the same files. Runs each of the
-8 commands, and the 9 front-door command lines that the parser answers
-alone (``--help``, each subcommand's ``--help`` and two usage errors), as a
+8 commands, the 9 front-door command lines that the parser answers alone
+(``--help``, each subcommand's ``--help`` and two usage errors), and 4
+command lines that a validation check refuses (one invalid document or
+value per kind, written into the same directory), as a
 ``python -m chanfactor.cli`` child process, once with this checkout's
 ``src`` as ``PYTHONPATH`` and once with ``PARENT/src``, and prints one
 Markdown table row per command line: the exit codes, the sha256 prefixes
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +41,26 @@ def front_door(channel: str) -> list:
     argvs = [("--help",), *((c, "--help") for c in SUBCOMMANDS), ("heatmap", "--points", "x")]
     return [(" ".join(argv), argv) for argv in argvs] + [
         ("factorize CHANNEL --tol=nan", ("factorize", channel, "--tol=nan"))
+    ]
+
+
+def refusals(work: Path, channel: str) -> list:
+    """(name, argv) of one command line per kind of invalid input, its
+    documents written into ``work``: a channel row with a negative entry, a
+    ``--dist`` summing to 1.6 (given with ``channel``), an ensemble with
+    a^2 + b^2 != 1, and a heatmap axis of one point."""
+    documents = {
+        "bad-channel.json": {"inputs": ["a", "b"], "outputs": ["0", "1"], "rows": [[0.5, 0.5], [-0.1, 1.1]]},
+        "bad-dist.json": [0.5, 0.6, 0.25, 0.25],
+        "bad-ensemble.json": {"weights": [0.5, 0.5], "a": [0.6, 0.8], "b": [0.6, 0.6]},
+    }
+    for name, doc in documents.items():
+        (work / name).write_text(json.dumps(doc))
+    return [
+        ("factorize BAD-CHANNEL", ("factorize", str(work / "bad-channel.json"))),
+        ("factorize CHANNEL --dist BAD-DIST", ("factorize", channel, "--dist", str(work / "bad-dist.json"))),
+        ("phase-scan BAD-ENSEMBLE", ("phase-scan", str(work / "bad-ensemble.json"))),
+        ("heatmap --points 1", ("heatmap", "--points", "1")),
     ]
 
 
@@ -70,6 +93,7 @@ def main(argv=None) -> int:
         rows = [(name, inv.name, inv.argv) for name in WORKLOADS for inv in workloads.build(name, SEED, work)]
         channel = next(argv[1] for _, command, argv in rows if command == "factorize")
         rows += [("front-door", command, argv) for command, argv in front_door(channel)]
+        rows += [("refusal", command, argv) for command, argv in refusals(work, channel)]
         for name, command, argv in rows:
             this, other = run(ROOT / "src", argv, work), run(parent / "src", argv, work)
             cells = " | ".join(f"{a} / {b}" for a, b in zip(this, other))
